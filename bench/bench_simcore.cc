@@ -25,6 +25,9 @@
 //                      both runs all three)
 //   --shards=N         top of the par_sim scaling curve (default 4): the
 //                      e2e run is measured at shard counts 1, 2, 4, ... N
+//
+// Any other argument, the `--out=PATH` / `--check=PATH` spellings, or a
+// flag without its value print a usage line and exit 2 before any work.
 
 #include <chrono>
 #include <cmath>
@@ -303,20 +306,47 @@ int Main(int argc, char** argv) {
   uint32_t max_shards = 4;  // top of the par_sim scaling curve
   std::string out_path = "BENCH_simcore.json";
   std::string check_path;
+  // Strict: anything unrecognised exits 2 before any work or output, so a
+  // typo such as `--out=x` cannot silently overwrite the default JSON.
+  const auto usage = [&](const std::string& problem) {
+    std::fprintf(stderr,
+                 "bench_simcore: %s\n"
+                 "usage: bench_simcore [--smoke] [--no-json] [--out PATH] "
+                 "[--check PATH] [--backend=sim|par_sim|thread|both] "
+                 "[--shards=N]\n",
+                 problem.c_str());
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg == "--no-json") write_json = false;
-    if (arg == "--out" && i + 1 < argc) out_path = argv[++i];
-    if (arg == "--check" && i + 1 < argc) check_path = argv[++i];
-    if (arg == "--backend=sim") { run_sim = true; run_thread = false; run_par = false; }
-    if (arg == "--backend=thread") { run_sim = false; run_thread = true; run_par = false; }
-    if (arg == "--backend=par_sim") { run_sim = false; run_thread = false; run_par = true; }
-    if (arg == "--backend=both") { run_sim = true; run_thread = true; run_par = true; }
-    if (arg.rfind("--shards=", 0) == 0) {
-      max_shards = static_cast<uint32_t>(
-          std::strtoul(arg.c_str() + std::strlen("--shards="), nullptr, 10));
-      if (max_shards == 0) max_shards = 1;
+    if (arg == "--smoke") {
+      smoke = true;
+    } else if (arg == "--no-json") {
+      write_json = false;
+    } else if (arg == "--out" || arg == "--check") {
+      if (i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+        return usage(arg + " needs a PATH value");
+      }
+      (arg == "--out" ? out_path : check_path) = argv[++i];
+    } else if (arg == "--backend=sim") {
+      run_sim = true; run_thread = false; run_par = false;
+    } else if (arg == "--backend=thread") {
+      run_sim = false; run_thread = true; run_par = false;
+    } else if (arg == "--backend=par_sim") {
+      run_sim = false; run_thread = false; run_par = true;
+    } else if (arg == "--backend=both") {
+      run_sim = true; run_thread = true; run_par = true;
+    } else if (arg.rfind("--shards=", 0) == 0) {
+      const char* value = arg.c_str() + std::strlen("--shards=");
+      char* end = nullptr;
+      const unsigned long n = std::strtoul(value, &end, 10);
+      if (*value < '0' || *value > '9' || *end != '\0' || n == 0 ||
+          n > UINT32_MAX) {
+        return usage("--shards needs a positive shard count");
+      }
+      max_shards = static_cast<uint32_t>(n);
+    } else {
+      return usage("unknown flag '" + arg + "'");
     }
   }
 

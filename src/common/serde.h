@@ -29,9 +29,10 @@ class BufferWriter {
     PutRaw(s.data(), s.size());
   }
 
+  /// Same bytes as a PutDouble per element, written with one copy.
   void PutDoubleVec(const std::vector<double>& v) {
     PutVarint(v.size());
-    for (double d : v) PutDouble(d);
+    PutRaw(v.data(), v.size() * sizeof(double));
   }
 
   void PutU64Vec(const std::vector<uint64_t>& v) {
@@ -42,6 +43,9 @@ class BufferWriter {
   const std::vector<uint8_t>& data() const { return buf_; }
   std::vector<uint8_t> Release() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
+  /// Empties the buffer but keeps its capacity, so one writer can be
+  /// reused across records without reallocating.
+  void Clear() { buf_.clear(); }
 
  private:
   void PutRaw(const void* p, size_t n) {

@@ -70,11 +70,11 @@ VertexSession& SessionTable::GetOrCreate(LoopState& ls, VertexId id,
 
 void SessionTable::Persist(LoopState& ls, VertexSession& s,
                            Iteration iteration) {
-  BufferWriter writer;
-  s.state->Serialize(&writer);
-  writer.PutU64Vec(
-      std::vector<uint64_t>(s.targets().begin(), s.targets().end()));
-  store_->Put(ls.loop, s.id, iteration, writer.Release());
+  persist_buffer_.Clear();
+  s.state->Serialize(&persist_buffer_);
+  persist_buffer_.PutU64Vec(s.targets());
+  store_->PutBytes(ls.loop, s.id, iteration, persist_buffer_.data().data(),
+                   persist_buffer_.size());
   ++ls.writes_since_flush;
 }
 

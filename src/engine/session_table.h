@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/serde.h"
 #include "common/types.h"
 #include "core/config.h"
 #include "core/messages.h"
@@ -96,6 +97,9 @@ class SessionTable {
   const JobConfig* config_;
   VersionedStore* store_;
   std::unordered_map<LoopId, LoopState> loops_;
+  // Serialization buffer reused by every Persist: its capacity settles at
+  // the largest vertex record, so a commit allocates nothing here.
+  BufferWriter persist_buffer_;
 };
 
 }  // namespace tornado

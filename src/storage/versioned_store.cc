@@ -1,6 +1,8 @@
 #include "storage/versioned_store.h"
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
@@ -15,20 +17,75 @@ bool CoveredBy(Iteration iter, Iteration watermark) {
 
 }  // namespace
 
+VersionedStore::Arena::Slot VersionedStore::Arena::Append(
+    const uint8_t* data, size_t size) {
+  if (size == 0) return {};
+  uint32_t block;
+  if (size > kMaxBlockBytes) {
+    // Oversized version: a block of its own, which never becomes current.
+    block = NewBlock(size);
+  } else {
+    if (current_ == kNoBlock ||
+        blocks_[current_].capacity - blocks_[current_].used < size) {
+      size_t capacity = next_capacity_;
+      while (capacity < size) capacity *= 2;
+      next_capacity_ = std::min(capacity * 2, kMaxBlockBytes);
+      current_ = NewBlock(capacity);
+    }
+    block = current_;
+  }
+  Block& b = blocks_[block];
+  uint8_t* dst = b.bytes.get() + b.used;
+  std::memcpy(dst, data, size);
+  b.used += size;
+  b.live += size;
+  used_ += size;
+  live_ += size;
+  return {dst, block};
+}
+
+uint32_t VersionedStore::Arena::NewBlock(size_t capacity) {
+  uint32_t block;
+  if (free_slots_.empty()) {
+    block = static_cast<uint32_t>(blocks_.size());
+    blocks_.emplace_back();
+  } else {
+    block = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Block& b = blocks_[block];
+  b.bytes = std::make_unique_for_overwrite<uint8_t[]>(capacity);
+  b.capacity = capacity;
+  return block;
+}
+
+void VersionedStore::Arena::Release(uint32_t block, size_t size) {
+  if (size == 0) return;
+  Block& b = blocks_[block];
+  TCHECK_GE(b.live, size);
+  b.live -= size;
+  live_ -= size;
+  if (b.live > 0) return;
+  // The block holds garbage only: rewind the current block, free any other.
+  used_ -= b.used;
+  b.used = 0;
+  if (block == current_) return;
+  b = Block{};
+  free_slots_.push_back(block);
+}
+
 void VersionedStore::PutBytesLocked(LoopId loop, VertexId vertex,
                                     Iteration iteration, const uint8_t* data,
                                     size_t size) {
   LoopData& loop_data = loops_[loop];
   Chain& chain = loop_data.chains[vertex];
 
-  const uint64_t offset = loop_data.arena.size();
-  loop_data.arena.insert(loop_data.arena.end(), data, data + size);
-  loop_data.live_bytes += size;
-
+  const Arena::Slot slot = loop_data.arena.Append(data, size);
   VersionEntry entry;
   entry.iteration = iteration;
+  entry.data = slot.data;
   entry.length = static_cast<uint32_t>(size);
-  entry.offset = offset;
+  entry.block = slot.block;
 
   auto& entries = chain.entries;
   if (entries.empty() || entries.back().iteration < iteration) {
@@ -43,8 +100,7 @@ void VersionedStore::PutBytesLocked(LoopId loop, VertexId vertex,
       // become garbage. The argument bytes were consumed before any
       // bookkeeping, so overwrites can never store a moved-from value.
       ReleaseEntry(loop_data, *it);
-      it->length = entry.length;
-      it->offset = entry.offset;
+      *it = entry;
       MaybeCompact(loop_data);
       return;
     }
@@ -62,32 +118,22 @@ const VersionedStore::Chain* VersionedStore::FindChain(LoopId loop,
   return &chain_it->second;
 }
 
-VersionView VersionedStore::ViewOf(const LoopData& data,
-                                   const VersionEntry& entry) const {
-  return VersionView(data.arena.data() + entry.offset, entry.length);
-}
-
-void VersionedStore::ReleaseEntry(LoopData& data, const VersionEntry& entry) {
-  TCHECK_GE(data.live_bytes, entry.length);
-  data.live_bytes -= entry.length;
-}
-
 void VersionedStore::MaybeCompact(LoopData& data) {
-  const size_t garbage = data.arena.size() - data.live_bytes;
-  if (garbage < 4096 || garbage <= data.live_bytes) return;
+  const size_t live = data.arena.live();
+  const size_t garbage = data.arena.used() - live;
+  if (garbage < 4096 || garbage <= live) return;
   // Rewrite every live payload into a fresh arena. Chain iteration order
-  // is untouched; only offsets move, which nothing observable depends on.
-  std::vector<uint8_t> compacted;
-  compacted.reserve(data.live_bytes);
+  // is untouched; only byte addresses move, which nothing observable
+  // depends on.
+  Arena compacted;
   for (auto& [vertex, chain] : data.chains) {
     for (VersionEntry& entry : chain.entries) {
-      const uint64_t offset = compacted.size();
-      compacted.insert(compacted.end(), data.arena.begin() + entry.offset,
-                       data.arena.begin() + entry.offset + entry.length);
-      entry.offset = offset;
+      const Arena::Slot slot = compacted.Append(entry.data, entry.length);
+      entry.data = slot.data;
+      entry.block = slot.block;
     }
   }
-  TCHECK_EQ(compacted.size(), data.live_bytes);
+  TCHECK_EQ(compacted.used(), live);
   data.arena = std::move(compacted);
   ++data.compactions;
 }
@@ -103,7 +149,7 @@ VersionView VersionedStore::GetLocked(LoopId loop, VertexId vertex,
       entries.begin(), entries.end(), at,
       [](Iteration at_, const VersionEntry& e) { return at_ < e.iteration; });
   if (it == entries.begin()) return {};
-  return ViewOf(loop_it->second, *std::prev(it));
+  return ViewOf(*std::prev(it));
 }
 
 Iteration VersionedStore::GetVersionIterationLocked(LoopId loop,
@@ -127,7 +173,7 @@ VersionView VersionedStore::GetLatestLocked(LoopId loop,
   if (chain_it == loop_it->second.chains.end()) return {};
   const auto& entries = chain_it->second.entries;
   if (entries.empty()) return {};
-  return ViewOf(loop_it->second, entries.back());
+  return ViewOf(entries.back());
 }
 
 std::vector<VertexId> VersionedStore::VerticesOfLocked(LoopId loop) const {
@@ -265,8 +311,8 @@ size_t VersionedStore::ForkLoopLocked(LoopId src, Iteration iteration,
   if (src_it == loops_.end()) return 0;
   TCHECK_NE(src, dst);
   // Snapshot (vertex, arena pointer) pairs first: creating dst below may
-  // rehash loops_, but the src arena's heap buffer does not move, so the
-  // collected views stay valid. Puts target dst's arena only (src != dst).
+  // rehash loops_, but arena blocks never move, so the collected views
+  // stay valid. Puts target dst's arena only (src != dst).
   std::vector<std::pair<VertexId, VersionView>> snapshot;
   snapshot.reserve(src_it->second.chains.size());
   for (const auto& [vertex, chain] : src_it->second.chains) {
@@ -275,7 +321,7 @@ size_t VersionedStore::ForkLoopLocked(LoopId src, Iteration iteration,
         entries.begin(), entries.end(), iteration,
         [](Iteration at, const VersionEntry& e) { return at < e.iteration; });
     if (v == entries.begin()) continue;
-    snapshot.emplace_back(vertex, ViewOf(src_it->second, *std::prev(v)));
+    snapshot.emplace_back(vertex, ViewOf(*std::prev(v)));
   }
   for (const auto& [vertex, view] : snapshot) {
     PutBytesLocked(dst, vertex, 0, view.data(), view.size());
@@ -292,7 +338,7 @@ size_t VersionedStore::MergeLoopLocked(LoopId src, LoopId dst,
   latest.reserve(src_it->second.chains.size());
   for (const auto& [vertex, chain] : src_it->second.chains) {
     if (chain.entries.empty()) continue;
-    latest.emplace_back(vertex, ViewOf(src_it->second, chain.entries.back()));
+    latest.emplace_back(vertex, ViewOf(chain.entries.back()));
   }
   for (const auto& [vertex, view] : latest) {
     PutBytesLocked(dst, vertex, dst_iteration, view.data(), view.size());
@@ -310,13 +356,13 @@ size_t VersionedStore::TotalVersionsLocked() const {
 
 size_t VersionedStore::TotalBytesLocked() const {
   size_t n = 0;
-  for (const auto& [loop, data] : loops_) n += data.live_bytes;
+  for (const auto& [loop, data] : loops_) n += data.arena.live();
   return n;
 }
 
 size_t VersionedStore::ArenaBytesLocked(LoopId loop) const {
   auto it = loops_.find(loop);
-  return it == loops_.end() ? 0 : it->second.arena.size();
+  return it == loops_.end() ? 0 : it->second.arena.used();
 }
 
 uint64_t VersionedStore::ArenaCompactionsLocked(LoopId loop) const {

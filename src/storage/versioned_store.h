@@ -2,6 +2,7 @@
 #define TORNADO_STORAGE_VERSIONED_STORE_H_
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -13,14 +14,16 @@ namespace tornado {
 
 /// Borrowed, non-owning view of one stored version's bytes. Returned by
 /// the store's read API instead of a pointer to an owned vector: versions
-/// live packed in a per-loop arena, so there is no per-version container
-/// to point at. A default-constructed view is "absent" (tests false);
-/// present views may legitimately be empty (zero-length value).
+/// live packed in a per-loop block arena, so there is no per-version
+/// container to point at. A default-constructed view is "absent" (tests
+/// false); present views may legitimately be empty (zero-length value).
 ///
-/// Lifetime: valid until the next mutation of the owning store (a Put may
-/// grow or compact the arena; Truncate/Prune/Drop compact or free it) —
-/// the same read-then-act-before-writing discipline callers already
-/// needed when erasing map nodes invalidated the old vector pointers.
+/// Lifetime: arena blocks never move, so a view survives Puts that append
+/// a new version. Any mutation that releases a version of the view's loop
+/// — an overwriting Put, MergeLoop into it, TruncateAfter, PruneBelow,
+/// RecoverToDurable, DropLoop — may free the view's block or compact the
+/// arena, and invalidates the view. Callers keep the read-then-act-
+/// before-writing discipline: read, use, then mutate.
 class VersionView {
  public:
   VersionView() = default;
@@ -57,12 +60,18 @@ class VersionView {
 /// durable watermark.
 ///
 /// Layout: each chain is a flat iteration-sorted vector of
-/// (iteration, length, offset) entries whose bytes live in a per-loop
-/// append-only arena — one arena append and at most one 16-byte entry
-/// insert per Put, and snapshot reads are a binary search plus a pointer
-/// into the arena (no map nodes, no per-version vector allocations).
-/// Pruning and truncation leave garbage bytes behind; the arena compacts
-/// itself once garbage exceeds the live volume.
+/// (iteration, bytes pointer, length, block) entries. The bytes live in a
+/// per-loop arena made of blocks that never move or grow: a version's
+/// bytes are contiguous inside one block, so a Put is one copy into the
+/// current block plus at most one entry insert, and a snapshot read is a
+/// binary search that ends at a pointer (no map nodes, no per-version
+/// vector allocations, no regrowth copies). Block capacities double from
+/// kFirstBlockBytes up to kMaxBlockBytes, so small branch loops stay small;
+/// a version larger than kMaxBlockBytes gets a block of its own size. Each
+/// block counts its live bytes and is freed as soon as its last version is
+/// pruned, truncated or overwritten. Only garbage stranded in blocks that
+/// are still live remains; the arena compacts itself once that garbage
+/// exceeds the live volume.
 ///
 /// Locking contract (docs/RUNTIME.md): every public method is a thin
 /// wrapper that takes the store Guard and calls a private *Locked impl
@@ -73,6 +82,10 @@ class VersionView {
 /// single-threaded mode, which is sound.
 class VersionedStore {
  public:
+  /// Arena block capacities (see "Layout" above). Constants, not knobs.
+  static constexpr size_t kFirstBlockBytes = size_t{4} << 10;
+  static constexpr size_t kMaxBlockBytes = size_t{1} << 20;
+
   /// RAII lock over the whole store; a no-op unless SetThreadSafe(true)
   /// was called. The underlying mutex is recursive, so holding a Guard
   /// across a compound sequence (Get + deserialize, read-then-write)
@@ -123,8 +136,9 @@ class VersionedStore {
     PutBytesLocked(loop, vertex, iteration, value.data(), value.size());
   }
 
-  /// Same, from a borrowed byte range (no intermediate vector). `data` must
-  /// not alias this store's own arenas unless the loops differ.
+  /// Same, from a borrowed byte range (no intermediate vector). `data` may
+  /// point into this store: the bytes are copied before any version is
+  /// released.
   void PutBytes(LoopId loop, VertexId vertex, Iteration iteration,
                 const uint8_t* data, size_t size) {
     const Guard guard = Lock();
@@ -243,8 +257,9 @@ class VersionedStore {
     return TotalBytesLocked();
   }
 
-  /// Arena introspection for tests: physical arena bytes (live + garbage)
-  /// of `loop`, and how many compactions it has run.
+  /// Arena introspection for tests: bytes written into the live blocks of
+  /// `loop` (live + stranded garbage; free block tails not counted), and
+  /// how many compactions it has run.
   size_t ArenaBytes(LoopId loop) const {
     const Guard guard = Lock();
     return ArenaBytesLocked(loop);
@@ -255,20 +270,56 @@ class VersionedStore {
   }
 
  private:
-  // 16 bytes per version; chains stay iteration-sorted (commits arrive in
+  static constexpr uint32_t kNoBlock = ~uint32_t{0};
+
+  // Per-loop byte arena: a list of fixed-capacity blocks that never move.
+  // Appends go to the current block; a version that does not fit opens the
+  // next, larger block. Freed block slots are reused by later blocks.
+  class Arena {
+   public:
+    struct Slot {
+      const uint8_t* data = nullptr;
+      uint32_t block = kNoBlock;  // kNoBlock for zero-length versions
+    };
+    /// Copies `size` bytes into one block and returns where they landed.
+    Slot Append(const uint8_t* data, size_t size);
+    /// Drops `size` live bytes of `block`; frees the block when none stay
+    /// (the current block is rewound for reuse instead).
+    void Release(uint32_t block, size_t size);
+    size_t used() const { return used_; }
+    size_t live() const { return live_; }
+
+   private:
+    struct Block {
+      std::unique_ptr<uint8_t[]> bytes;  // null once freed
+      size_t capacity = 0;
+      size_t used = 0;  // append cursor: live + garbage bytes
+      size_t live = 0;  // bytes referenced by some entry
+    };
+    uint32_t NewBlock(size_t capacity);
+
+    std::vector<Block> blocks_;
+    std::vector<uint32_t> free_slots_;
+    uint32_t current_ = kNoBlock;
+    size_t next_capacity_ = kFirstBlockBytes;
+    size_t used_ = 0;  // sum of Block::used over live blocks
+    size_t live_ = 0;  // sum of Block::live
+  };
+
+  // 24 bytes per version; chains stay iteration-sorted (commits arrive in
   // increasing iteration order, so inserts are almost always push_backs).
   struct VersionEntry {
     Iteration iteration = 0;
+    const uint8_t* data = nullptr;  // into LoopData::arena
     uint32_t length = 0;
-    uint64_t offset = 0;  // into LoopData::arena
+    uint32_t block = kNoBlock;
   };
   struct Chain {
     std::vector<VersionEntry> entries;
   };
   struct LoopData {
     std::unordered_map<VertexId, Chain> chains;
-    std::vector<uint8_t> arena;  // append-only until compaction
-    size_t live_bytes = 0;       // arena bytes referenced by some entry
+    Arena arena;
     uint64_t compactions = 0;
     Iteration durable = kNoIteration;
     size_t dirty = 0;
@@ -309,8 +360,12 @@ class VersionedStore {
   uint64_t ArenaCompactionsLocked(LoopId loop) const REQUIRES(mu_);
 
   const Chain* FindChain(LoopId loop, VertexId vertex) const REQUIRES(mu_);
-  VersionView ViewOf(const LoopData& data, const VersionEntry& entry) const;
-  void ReleaseEntry(LoopData& data, const VersionEntry& entry);
+  static VersionView ViewOf(const VersionEntry& entry) {
+    return VersionView(entry.data, entry.length);
+  }
+  static void ReleaseEntry(LoopData& data, const VersionEntry& entry) {
+    data.arena.Release(entry.block, entry.length);
+  }
   void MaybeCompact(LoopData& data);
 
   // Driver-set before any concurrent access (SetThreadSafe), then read

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -330,6 +333,55 @@ TEST(SerdeTest, RandomRoundTripProperty) {
       EXPECT_DOUBLE_EQ(d, doubles[i]);
     }
   }
+}
+
+TEST(SerdeTest, BulkDoubleVecMatchesElementWiseBytes) {
+  // Cycled through every length: NaNs with distinct payloads and signs,
+  // both zeros, denormals, both infinities and two ordinary values.
+  const double specials[] = {
+      std::bit_cast<double>(0x7ff8000000000001ULL),  // quiet NaN, payload 1
+      std::bit_cast<double>(0xfff4000000000abcULL),  // signalling, sign set
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      std::bit_cast<double>(0x800fffffffffffffULL),  // largest denormal, < 0
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      1.0 / 3.0,
+      -2.5e300,
+  };
+  for (size_t n = 0; n <= 33; ++n) {
+    std::vector<double> values(n);
+    for (size_t i = 0; i < n; ++i) {
+      values[i] = specials[(i * 7 + n) % std::size(specials)];
+    }
+    BufferWriter bulk;
+    bulk.PutDoubleVec(values);
+    BufferWriter each;
+    each.PutVarint(n);
+    for (double d : values) each.PutDouble(d);
+    EXPECT_EQ(bulk.data(), each.data()) << "length " << n;
+
+    BufferReader r(bulk.data());
+    std::vector<double> back;
+    ASSERT_TRUE(r.GetDoubleVec(&back).ok()) << "length " << n;
+    EXPECT_TRUE(r.AtEnd());
+    ASSERT_EQ(back.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(back[i]),
+                std::bit_cast<uint64_t>(values[i]))
+          << "length " << n << " index " << i;
+    }
+  }
+}
+
+TEST(SerdeTest, ClearKeepsTheWriterReusable) {
+  BufferWriter w;
+  w.PutDoubleVec({1.0, 2.0});
+  w.Clear();
+  EXPECT_EQ(w.size(), 0u);
+  w.PutU8(7);
+  EXPECT_EQ(w.data(), (std::vector<uint8_t>{7}));
 }
 
 // ---------------------------------------------------------------------------

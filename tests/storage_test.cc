@@ -188,36 +188,175 @@ TEST(VersionedStoreTest, TruncateAfterRestoresDirtyAcrossDurableWatermark) {
   EXPECT_EQ(store.DirtyVersions(0), 1u);
 }
 
-TEST(VersionedStoreTest, ForkMergeRoundTripSurvivesArenaCompaction) {
+std::vector<uint8_t> Filled(size_t size, uint8_t value) {
+  return std::vector<uint8_t>(size, value);
+}
+
+// 256-byte versions: the first 4 KiB block holds exactly 16 of them.
+constexpr size_t kPayload = 256;
+constexpr size_t kPerFirstBlock = VersionedStore::kFirstBlockBytes / kPayload;
+
+TEST(VersionedStoreTest, ForkMergeRoundTripAfterPruneFreesBlocks) {
   VersionedStore store;
-  // 50 versions x 256 bytes; pruning 49 of them leaves ~12.5 KiB of
-  // garbage against ~0.5 KiB live — well past the compaction trigger.
+  // 50 versions x 256 bytes fill the 4 KiB block (versions 1-16), the
+  // 8 KiB block (17-48) and start a 16 KiB block (49, 50), which vertex 2's
+  // one byte joins.
   for (Iteration i = 1; i <= 50; ++i) {
-    store.Put(0, 1, i, std::vector<uint8_t>(256, static_cast<uint8_t>(i)));
+    store.Put(0, 1, i, Filled(kPayload, static_cast<uint8_t>(i)));
   }
   store.Put(0, 2, 10, Bytes({42}));
-  EXPECT_EQ(store.ArenaCompactions(0), 0u);
+  EXPECT_EQ(store.ArenaBytes(0), 50 * kPayload + 1);
   EXPECT_EQ(store.PruneBelow(0, 50), 49u);
-  EXPECT_GE(store.ArenaCompactions(0), 1u);
-  // The compacted arena holds exactly the live bytes.
-  EXPECT_EQ(store.ArenaBytes(0), 256u + 1u);
+  // The first two blocks held only pruned versions and are freed whole;
+  // version 49 stays behind as garbage in the live third block. No bytes
+  // were moved.
+  EXPECT_EQ(store.ArenaCompactions(0), 0u);
+  EXPECT_EQ(store.ArenaBytes(0), 2 * kPayload + 1);
+  EXPECT_EQ(store.TotalBytes(), kPayload + 1);
 
-  // Reads after compaction see the surviving payloads at their new offsets.
   const VersionView kept = store.GetLatest(0, 1);
   ASSERT_TRUE(kept);
-  ASSERT_EQ(kept.size(), 256u);
-  EXPECT_EQ(kept[0], 50);
+  EXPECT_EQ(kept.ToVector(), Filled(kPayload, 50));
 
-  // Fork out of the compacted arena, then merge back into a third loop:
+  // Fork out of the pruned arena, then merge back into a third loop:
   // payload bytes must round-trip across both arena copies.
   EXPECT_EQ(store.ForkLoop(0, 50, 1), 2u);
-  EXPECT_EQ(store.Get(1, 1, 0).ToVector(),
-            std::vector<uint8_t>(256, uint8_t{50}));
+  EXPECT_EQ(store.Get(1, 1, 0).ToVector(), Filled(kPayload, 50));
   EXPECT_EQ(store.Get(1, 2, 0)[0], 42);
   EXPECT_EQ(store.MergeLoop(1, 2, 7), 2u);
-  EXPECT_EQ(store.Get(2, 1, 7).ToVector(),
-            std::vector<uint8_t>(256, uint8_t{50}));
+  EXPECT_EQ(store.Get(2, 1, 7).ToVector(), Filled(kPayload, 50));
   EXPECT_EQ(store.Get(2, 2, 7)[0], 42);
+}
+
+TEST(VersionedStoreTest, PruningANonCurrentBlockFreesItWithoutCompaction) {
+  VersionedStore store;
+  for (Iteration i = 1; i <= kPerFirstBlock + 1; ++i) {
+    store.Put(0, 1, i, Filled(kPayload, static_cast<uint8_t>(i)));
+  }
+  // The last version opened the second block, which is now current.
+  EXPECT_EQ(store.ArenaBytes(0), (kPerFirstBlock + 1) * kPayload);
+  EXPECT_EQ(store.PruneBelow(0, kPerFirstBlock + 1), kPerFirstBlock);
+  EXPECT_EQ(store.ArenaBytes(0), kPayload);
+  EXPECT_EQ(store.ArenaCompactions(0), 0u);
+  EXPECT_EQ(store.GetLatest(0, 1).ToVector(),
+            Filled(kPayload, static_cast<uint8_t>(kPerFirstBlock + 1)));
+}
+
+TEST(VersionedStoreTest, VersionLargerThanMaxBlockGetsItsOwnBlock) {
+  VersionedStore store;
+  const size_t big = VersionedStore::kMaxBlockBytes + 100;
+  std::vector<uint8_t> payload(big);
+  for (size_t i = 0; i < big; ++i) payload[i] = static_cast<uint8_t>(i * 7);
+  store.Put(0, 1, 1, Bytes({1}));
+  store.Put(0, 2, 1, payload);
+  store.Put(0, 3, 1, Bytes({3}));
+  EXPECT_EQ(store.ArenaBytes(0), big + 2);
+
+  const VersionView view = store.Get(0, 2, 1);
+  ASSERT_TRUE(view);
+  EXPECT_EQ(view.ToVector(), payload);  // contiguous despite > max block
+  EXPECT_EQ(store.Get(0, 1, 1)[0], 1);
+  EXPECT_EQ(store.Get(0, 3, 1)[0], 3);
+
+  // Overwriting the big version frees its block outright.
+  store.Put(0, 2, 1, Bytes({2}));
+  EXPECT_EQ(store.ArenaBytes(0), 3u);
+  EXPECT_EQ(store.TotalBytes(), 3u);
+  EXPECT_EQ(store.ArenaCompactions(0), 0u);
+  EXPECT_EQ(store.Get(0, 2, 1)[0], 2);
+}
+
+TEST(VersionedStoreTest, OverwritesAcrossABlockBoundaryFreeTheOldBlock) {
+  VersionedStore store;
+  for (Iteration i = 1; i <= kPerFirstBlock; ++i) {
+    store.Put(0, 1, i, Filled(kPayload, static_cast<uint8_t>(i)));
+  }
+  EXPECT_EQ(store.ArenaBytes(0), VersionedStore::kFirstBlockBytes);
+  // The first block is full: each rewrite lands in the second block and
+  // strands its old bytes in the first, until the first holds no live
+  // version and is freed.
+  for (Iteration i = 1; i <= kPerFirstBlock; ++i) {
+    store.Put(0, 1, i, Filled(kPayload, static_cast<uint8_t>(100 + i)));
+    if (i < kPerFirstBlock) {
+      EXPECT_EQ(store.ArenaBytes(0), (kPerFirstBlock + i) * kPayload);
+    }
+  }
+  EXPECT_EQ(store.ArenaBytes(0), kPerFirstBlock * kPayload);
+  EXPECT_EQ(store.ArenaCompactions(0), 0u);
+  EXPECT_EQ(store.VersionCount(0, 1), kPerFirstBlock);
+  for (Iteration i = 1; i <= kPerFirstBlock; ++i) {
+    EXPECT_EQ(store.Get(0, 1, i).ToVector(),
+              Filled(kPayload, static_cast<uint8_t>(100 + i)));
+  }
+}
+
+TEST(VersionedStoreTest, TruncateAfterAcrossABlockBoundary) {
+  VersionedStore store;
+  // Vertex 1's versions 5..20 fill the first block; vertex 2's version 1
+  // opens the second.
+  for (Iteration i = 5; i < 5 + kPerFirstBlock; ++i) {
+    store.Put(0, 1, i, Filled(kPayload, static_cast<uint8_t>(i)));
+  }
+  store.Put(0, 2, 1, Filled(kPayload, 2));
+  store.Put(0, 2, 30, Filled(kPayload, 30));
+  EXPECT_EQ(store.ArenaBytes(0), (kPerFirstBlock + 2) * kPayload);
+
+  // Dropping the versions after 10 strands vertex 1's tail in the first
+  // block and one version in the second; both blocks stay live.
+  store.TruncateAfter(0, 10);
+  EXPECT_EQ(store.VersionCount(0, 1), 6u);
+  EXPECT_EQ(store.ArenaBytes(0), (kPerFirstBlock + 2) * kPayload);
+  EXPECT_EQ(store.TotalBytes(), 7 * kPayload);
+
+  // Dropping every version in the first block frees it whole.
+  store.TruncateAfter(0, 4);
+  EXPECT_EQ(store.VersionCount(0, 1), 0u);
+  EXPECT_EQ(store.ArenaBytes(0), 2 * kPayload);
+  EXPECT_EQ(store.TotalBytes(), kPayload);
+  EXPECT_EQ(store.ArenaCompactions(0), 0u);
+  EXPECT_EQ(store.Get(0, 2, 4).ToVector(), Filled(kPayload, 2));
+
+  // With nothing live left the current block is rewound and reused.
+  store.TruncateAfter(0, 0);
+  EXPECT_EQ(store.ArenaBytes(0), 0u);
+  store.Put(0, 3, 1, Bytes({7}));
+  EXPECT_EQ(store.ArenaBytes(0), 1u);
+  EXPECT_EQ(store.Get(0, 3, 1)[0], 7);
+}
+
+TEST(VersionedStoreTest, CompactionPacksGarbageStrandedInLiveBlocks) {
+  VersionedStore store;
+  // Every block gets some one-byte versions that stay live, so pruning
+  // vertex 1's history frees no block: only compaction reclaims it.
+  for (Iteration i = 1; i <= 64; ++i) {
+    store.Put(0, 1, i, Filled(kPayload, static_cast<uint8_t>(i)));
+    store.Put(0, 100 + i, 1, Bytes({static_cast<uint8_t>(i)}));
+  }
+  EXPECT_EQ(store.ArenaCompactions(0), 0u);
+  EXPECT_EQ(store.PruneBelow(0, 64), 63u);
+  EXPECT_EQ(store.ArenaCompactions(0), 1u);
+  EXPECT_EQ(store.TotalBytes(), kPayload + 64);
+  EXPECT_EQ(store.ArenaBytes(0), store.TotalBytes());
+
+  // Reads after compaction see the surviving payloads at their new homes.
+  EXPECT_EQ(store.GetLatest(0, 1).ToVector(), Filled(kPayload, 64));
+  for (Iteration i = 1; i <= 64; ++i) {
+    EXPECT_EQ(store.Get(0, 100 + i, 1)[0], i);
+  }
+}
+
+TEST(VersionedStoreTest, ZeroLengthVersionsArePresentAndEmpty) {
+  VersionedStore store;
+  store.Put(0, 1, 1, {});
+  store.Put(0, 1, 2, Bytes({5}));
+  store.Put(0, 1, 2, {});
+  const VersionView view = store.Get(0, 1, 2);
+  ASSERT_TRUE(view);
+  EXPECT_TRUE(view.empty());
+  EXPECT_TRUE(store.Get(0, 1, 1));
+  EXPECT_EQ(store.TotalBytes(), 0u);
+  EXPECT_EQ(store.PruneBelow(0, 2), 1u);
+  EXPECT_EQ(store.ArenaBytes(0), 0u);
 }
 
 // ---------------------------------------------------------------------------
