@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -32,19 +35,30 @@ std::string JsonEscape(const std::string& s) {
   }
   return out;
 }
+
+[[noreturn]] void UsageError(const char* program, const std::string& problem) {
+  std::fprintf(stderr,
+               "%s: %s\n"
+               "usage: %s [--json PATH] [--trace-out PATH] "
+               "[--series-out PATH]\n",
+               program, problem.c_str(), program);
+  std::exit(2);
+}
 }  // namespace
 
 BenchArgs ParseBenchArgs(int argc, char** argv) {
   BenchArgs args;
-  for (int i = 1; i + 1 < argc; ++i) {
+  for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    if (flag == "--json") {
-      args.json_path = argv[++i];
-    } else if (flag == "--trace-out") {
-      args.trace_path = argv[++i];
-    } else if (flag == "--series-out") {
-      args.series_path = argv[++i];
+    std::string* target = flag == "--json"         ? &args.json_path
+                          : flag == "--trace-out"  ? &args.trace_path
+                          : flag == "--series-out" ? &args.series_path
+                                                   : nullptr;
+    if (target == nullptr) UsageError(argv[0], "unknown flag '" + flag + "'");
+    if (i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      UsageError(argv[0], flag + " needs a PATH value");
     }
+    *target = argv[++i];
   }
   return args;
 }

@@ -69,7 +69,8 @@ double MeasureQueryLatency(TornadoCluster& cluster, double timeout = 3000.0);
 ///   --json <path>        machine-readable run result (JSON)
 ///   --trace-out <path>   Chrome trace-event JSON of the traced window
 ///   --series-out <path>  sampler time-series CSV
-/// Unknown arguments are ignored so benches stay drop-in runnable.
+/// Any other argument, or a flag without its value, prints a usage line
+/// to stderr and exits 2 before any work.
 struct BenchArgs {
   std::string json_path;
   std::string trace_path;

@@ -36,15 +36,6 @@ Status BufferReader::GetVarint(uint64_t* out) {
   return Status::Ok();
 }
 
-Status BufferReader::GetString(std::string* out) {
-  uint64_t len = 0;
-  if (Status s = GetVarint(&len); !s.ok()) return s;
-  if (pos_ + len > size_) return Status::OutOfRange("string truncated");
-  out->assign(reinterpret_cast<const char*>(data_ + pos_), len);
-  pos_ += len;
-  return Status::Ok();
-}
-
 Status BufferReader::GetDoubleVec(std::vector<double>* out) {
   uint64_t len = 0;
   if (Status s = GetVarint(&len); !s.ok()) return s;

@@ -15,9 +15,9 @@ namespace tornado {
 ///
 /// The Tornado engine maintains its dependency graph inside the vertices
 /// themselves (addTarget/removeTarget); this standalone structure serves
-/// the from-scratch baselines (Spark-like, GraphLab-like), the reference
-/// solvers used by tests to validate fixed points, and the workload
-/// drivers.
+/// the from-scratch baselines (Spark-like, GraphLab-like), the exact
+/// solvers in baselines/solvers.h that tests validate fixed points
+/// against, and the benches that replay a workload's stream.
 class DynamicGraph {
  public:
   struct Edge {
@@ -35,15 +35,6 @@ class DynamicGraph {
   bool HasVertex(VertexId v) const { return adjacency_.count(v) > 0; }
   size_t NumVertices() const { return adjacency_.size(); }
   size_t NumEdges() const { return num_edges_; }
-
-  /// Reference single-source shortest paths (Dijkstra over current edges).
-  /// Unreachable vertices are absent from the result.
-  std::unordered_map<VertexId, double> ShortestPaths(VertexId source) const;
-
-  /// Reference PageRank by synchronous power iteration to `epsilon` (L1).
-  std::unordered_map<VertexId, double> PageRank(double damping,
-                                                double epsilon,
-                                                int max_iterations) const;
 
  private:
   std::unordered_map<VertexId, std::vector<Edge>> adjacency_;

@@ -26,8 +26,8 @@ struct Payload {
   /// one fresh id per prepare round: the PrepareMsg fanout, every AckMsg that
   /// answers it (immediate or deferred), and the UpdateMsg scatter of the
   /// commit it enabled all carry the same id, so a commit in a trace can be
-  /// walked back through the acks and prepares that produced it. Serialized
-  /// by the message_serde envelope, not per-message bodies.
+  /// walked back through the acks and prepares that produced it. Payloads
+  /// travel as PayloadPtr on every backend, so the id is never serialized.
   uint64_t cause_id = 0;
 };
 

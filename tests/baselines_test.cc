@@ -7,6 +7,7 @@
 
 #include "baselines/graph_baselines.h"
 #include "baselines/ml_baselines.h"
+#include "baselines/solvers.h"
 #include "stream/graph_stream.h"
 #include "stream/instance_stream.h"
 #include "stream/point_stream.h"
@@ -42,7 +43,7 @@ TEST(SsspBaselineTest, AllModelsComputeTheExactFixedPoint) {
       reference.Apply(std::get<EdgeDelta>(tuple->delta));
     }
   }
-  const auto expected = reference.ShortestPaths(0);
+  const auto expected = SolveSssp(reference, 0).dist;
 
   for (ExecutionModel model :
        {ExecutionModel::kSparkLike, ExecutionModel::kGraphLabLike,

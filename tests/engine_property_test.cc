@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "algos/sssp.h"
+#include "baselines/solvers.h"
 #include "core/cluster.h"
 #include "graph/dynamic_graph.h"
 #include "stream/graph_stream.h"
@@ -74,7 +75,7 @@ TEST_P(SsspPropertyTest, RandomisedRunMatchesReferenceAtEveryQuery) {
       if (!tuple.has_value()) break;
       graph.Apply(std::get<EdgeDelta>(tuple->delta));
     }
-    const auto expected = graph.ShortestPaths(0);
+    const auto expected = SolveSssp(graph, 0).dist;
     for (VertexId v : graph.Vertices()) {
       auto state = cluster.ReadVertexState(branch, v);
       const double got =

@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "algos/sssp.h"
+#include "baselines/solvers.h"
 #include "core/cluster.h"
 #include "graph/dynamic_graph.h"
 #include "stream/graph_stream.h"
@@ -55,7 +56,7 @@ GraphStreamOptions SmallGraph() {
 
 void ExpectMatchesDijkstra(const TornadoCluster& cluster, LoopId branch,
                            const DynamicGraph& reference) {
-  const auto expected = reference.ShortestPaths(kSource);
+  const auto expected = SolveSssp(reference, kSource).dist;
   size_t checked = 0;
   for (VertexId v : reference.Vertices()) {
     auto state_ptr = cluster.ReadVertexState(branch, v);

@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "algos/sssp.h"
+#include "baselines/solvers.h"
 #include "core/cluster.h"
 #include "graph/dynamic_graph.h"
 #include "stream/graph_stream.h"
@@ -48,7 +49,7 @@ void ExpectCorrect(const TornadoCluster& cluster, LoopId branch,
   while (auto tuple = replay.Next()) {
     graph.Apply(std::get<EdgeDelta>(tuple->delta));
   }
-  const auto expected = graph.ShortestPaths(kSource);
+  const auto expected = SolveSssp(graph, kSource).dist;
   size_t finite = 0;
   for (VertexId v : graph.Vertices()) {
     auto state = cluster.ReadVertexState(branch, v);

@@ -15,8 +15,6 @@
 //   DET-003  range-for over an unordered container in a file that sends
 //            protocol messages (iteration order feeds net::Payload)
 //   DET-004  pointer-keyed ordered container (ordering = allocation order)
-//   SER-001  Payload struct in core/messages.h missing from the
-//            TORNADO_MESSAGE_SERDE registry in core/message_serde.cc
 //   RUN-001  #include of a concrete substrate type (sim/event_loop.h,
 //            net/network.h) outside the substrate layer itself
 //            (src/sim/, src/net/, src/runtime/sim_*,
@@ -107,9 +105,6 @@ const RuleInfo kRules[] = {
     {"DET-004", "error",
      "pointer-keyed ordered container",
      "key by a stable id (VertexId, LoopId, NodeId), not an address"},
-    {"SER-001", "error",
-     "Payload struct missing from the message serde registry",
-     "add TORNADO_MESSAGE_SERDE(<struct>) to core/message_serde.cc"},
     {"RUN-001", "error",
      "concrete substrate type included outside the substrate layer",
      "include runtime/substrate.h and take Clock*/Scheduler*/Transport*"},
@@ -905,60 +900,6 @@ void CheckKernelHygiene(const SourceFile& f, Linter* lint) {
   }
 }
 
-// --- SER-001: serde registry coverage. ---
-
-void CheckSerdeRegistry(const std::vector<SourceFile>& files, Linter* lint) {
-  const SourceFile* messages = nullptr;
-  std::set<std::string> registered;
-  for (const SourceFile& f : files) {
-    if (f.path.size() >= 15 &&
-        f.path.rfind("core/messages.h") ==
-            f.path.size() - std::string("core/messages.h").size()) {
-      messages = &f;
-    }
-    const std::string macro = "TORNADO_MESSAGE_SERDE";
-    for (size_t pos : FindWord(f.code, macro)) {
-      size_t open = pos + macro.size();
-      if (open < f.code.size() && f.code[open] == '(') {
-        size_t close = f.code.find(')', open);
-        if (close != std::string::npos) {
-          registered.insert(Trim(f.code.substr(open + 1, close - open - 1)));
-        }
-      }
-    }
-  }
-  if (messages == nullptr) return;
-
-  for (size_t pos : FindWord(messages->code, "struct")) {
-    size_t i = pos + 6;
-    while (i < messages->code.size() &&
-           std::isspace(static_cast<unsigned char>(messages->code[i])) != 0) {
-      ++i;
-    }
-    size_t name_end = i;
-    while (name_end < messages->code.size() &&
-           IsIdentChar(messages->code[name_end])) {
-      ++name_end;
-    }
-    const std::string name = messages->code.substr(i, name_end - i);
-    if (name.empty()) continue;
-    // Only structs deriving from Payload are wire messages.
-    const size_t brace = messages->code.find('{', name_end);
-    if (brace == std::string::npos) continue;
-    const std::string between =
-        messages->code.substr(name_end, brace - name_end);
-    if (between.find(':') == std::string::npos ||
-        between.find("Payload") == std::string::npos) {
-      continue;
-    }
-    if (registered.count(name) == 0) {
-      lint->Report(*messages, pos, "SER-001",
-                   "wire message `" + name + "` is not registered with "
-                   "TORNADO_MESSAGE_SERDE and cannot round-trip");
-    }
-  }
-}
-
 // --- Driver. ---
 
 void CollectPaths(const std::string& root, std::vector<std::string>* out) {
@@ -1106,7 +1047,6 @@ int main(int argc, char** argv) {
     CheckGuardedFields(f, &lint);
     CheckThreadHygiene(f, &lint);
   }
-  CheckSerdeRegistry(files, &lint);
 
   std::stable_sort(lint.findings().begin(), lint.findings().end(),
                    [](const Finding& a, const Finding& b) {
