@@ -13,10 +13,11 @@
 //   --out <path>       where to write the JSON (default BENCH_simcore.json)
 //   --check <path>     compare against a previously committed JSON and exit
 //                      non-zero if el_drain_events_per_sec or any kernel_*
-//                      throughput regressed >30%. Refuses to compare when
-//                      the committed JSON was produced with different knobs
-//                      (smoke size, host core count): cross-knob numbers
-//                      measure nothing.
+//                      throughput regressed >30%, or if net_events_per_msg
+//                      (a deterministic count) rose at all. Refuses to
+//                      compare when the committed JSON was produced with
+//                      different knobs (smoke size, host core count):
+//                      cross-knob numbers measure nothing.
 //   --no-json          skip writing the JSON (just print the table)
 //   --backend=sim|par_sim|thread|both
 //                      which runtime substrate(s) drive the fig5 e2e run
@@ -356,6 +357,8 @@ int Main(int argc, char** argv) {
   shard_curve.push_back(max_shards);
 
   PrintHeader("Simulation-substrate wall-clock throughput", "BENCH_simcore");
+  // Built before the work so its top-level wall_seconds covers the run.
+  BenchJson json("simcore");
 
   const uint64_t kDrainN = smoke ? 400000 : 2000000;
   const uint64_t kChurnN = smoke ? 400000 : 2000000;
@@ -440,7 +443,6 @@ int Main(int argc, char** argv) {
   };
 
   if (write_json) {
-    BenchJson json("simcore");
     for (const auto& knob : knob_set) json.AddKnob(knob.key, knob.value);
     json.AddKnob("kernel_variant", variant);
     json.AddResult("el_drain_events_per_sec", el_drain);
@@ -531,6 +533,21 @@ int Main(int argc, char** argv) {
                    "FAIL: event-loop drain regressed >30%% vs %s\n",
                    check_path.c_str());
       failed = true;
+    }
+    // Fired events per delivered message is a count of the simulator's
+    // own work, identical on every host at the same knobs: any rise is a
+    // regression. The slack only absorbs the JSON's 9-digit rounding.
+    const double committed_epm = JsonNumber(baseline, "net_events_per_msg");
+    if (committed_epm > 0.0) {
+      std::printf("perf check: %.6f events/msg vs committed %.6f\n",
+                  net.events_per_msg, committed_epm);
+      if (net.events_per_msg > committed_epm * (1.0 + 1e-7)) {
+        std::fprintf(stderr,
+                     "FAIL: reliable-channel events per message rose above "
+                     "%s\n",
+                     check_path.c_str());
+        failed = true;
+      }
     }
     for (size_t i = 0; i < kKernelAlgos.size(); ++i) {
       const struct {

@@ -46,6 +46,41 @@ void Network::AddNodeEntry(Node* node, HostId host, double speed_factor) {
   if (host >= hosts_.size()) hosts_.resize(host + 1);
 }
 
+void Network::ResizeLinks() {
+  // Clusters register every node before traffic flows, so this runs once,
+  // at the first channel lookup, and moves nothing.
+  const size_t old_n = link_stride_;
+  const size_t n = nodes_.size();
+  std::vector<std::vector<Channel>> links(n * n);
+  for (size_t src = 0; src < old_n; ++src) {
+    for (size_t dst = 0; dst < old_n; ++dst) {
+      links[src * n + dst] = std::move(links_[src * old_n + dst]);
+    }
+  }
+  links_ = std::move(links);
+  link_stride_ = n;
+}
+
+Network::Channel* Network::FindChannel(NodeId src, NodeId dst,
+                                       uint32_t src_inc, uint32_t dst_inc) {
+  std::vector<Channel>& link = Link(src, dst);
+  // The newest incarnation pair is the one traffic uses; search from it.
+  for (auto it = link.rbegin(); it != link.rend(); ++it) {
+    if (it->src_inc == src_inc && it->dst_inc == dst_inc) return &*it;
+  }
+  return nullptr;
+}
+
+Network::Channel& Network::ChannelFor(NodeId src, NodeId dst,
+                                      uint32_t src_inc, uint32_t dst_inc) {
+  if (Channel* c = FindChannel(src, dst, src_inc, dst_inc)) return *c;
+  std::vector<Channel>& link = Link(src, dst);
+  link.emplace_back();
+  link.back().src_inc = src_inc;
+  link.back().dst_inc = dst_inc;
+  return link.back();
+}
+
 void Network::RegisterNode(Node* node, HostId host, double speed_factor) {
   TCHECK(node != nullptr);
   TCHECK(OwnsHost(host)) << "node registered on a shard that does not own "
@@ -77,8 +112,9 @@ void Network::Send(NodeId src, NodeId dst, PayloadPtr payload, bool reliable) {
   uint64_t seq = 0;
   if (reliable) {
     const uint32_t dst_inc = nodes_[dst].incarnation;
-    const uint64_t key = ChannelKey(src, sender.incarnation, dst, dst_inc);
-    SendChannel& ch = send_channels_[key];
+    Channel& c = ChannelFor(src, dst, sender.incarnation, dst_inc);
+    SendChannel& ch = c.send;
+    ApplyDueAcks(ch);
     seq = ch.next_seq++;
     PendingSend pending;
     pending.dst = dst;
@@ -89,7 +125,7 @@ void Network::Send(NodeId src, NodeId dst, PayloadPtr payload, bool reliable) {
     const double deadline = pending.deadline;
     ch.window.push_back(std::move(pending));
     ++ch.live;
-    EnsureChannelTimer(key, ch, deadline);
+    EnsureChannelTimer(src, dst, c, deadline);
   }
   TransmitToHost(src, dst, sender.incarnation, seq, std::move(payload),
                  reliable, /*retransmit=*/false);
@@ -195,14 +231,23 @@ void Network::InjectCrossShard(CrossShardPacket p) {
             });
       });
       break;
-    case CrossShardPacket::Kind::kAckApply:
-      loop_->ScheduleAt(p.time, [this, src = p.src, src_inc = p.src_inc,
-                                 dst = p.dst, dst_inc = p.dst_inc,
-                                 cumulative = p.cumulative,
-                                 sacks = std::move(p.sacks)]() {
-        ApplyAck(src, src_inc, dst, dst_inc, cumulative, sacks);
-      });
+    case CrossShardPacket::Kind::kAckApply: {
+      // The ack joins the sender's records; it takes effect at `p.time`
+      // the next time the sender reads its window. Its predecessor on
+      // this channel landed before the receiver sent this one, so it is
+      // due and applying it keeps at most one record queued.
+      Channel* c = FindChannel(p.src, p.dst, p.src_inc, p.dst_inc);
+      if (c == nullptr) break;
+      SendChannel* ch = AckTarget(p.src, *c);
+      if (ch == nullptr) break;
+      ApplyDueAcks(*ch);
+      TCHECK_LT(ch->num_acks, 2u);
+      AckRecord& record = ch->acks[ch->num_acks++];
+      record.apply = p.time;
+      record.cumulative = p.cumulative;
+      record.sacks = std::move(p.sacks);
       break;
+    }
   }
 }
 
@@ -225,72 +270,130 @@ void Network::ArriveAtNode(NodeId src, NodeId dst, uint32_t src_inc,
     return;
   }
 
+  Channel& c = ChannelFor(src, dst, src_inc, dst_inc);
+  RecvChannel& rc = c.recv;
+  // Tie rule: a follow-up whose capture time is this instant was captured
+  // before this arrival.
+  if (rc.followup_pending && rc.ack_pending_until <= loop_->now()) {
+    PromoteFollowup(src, dst, c);
+  }
+
   // TCP-like per-channel semantics: drop duplicates, hold out-of-order
   // arrivals, deliver in sequence order. Delivery happens before the ack
   // below is captured, so the ack always covers this arrival.
-  RecvChannel& rc = recv_channels_[ChannelKey(src, src_inc, dst, dst_inc)];
   if (seq <= rc.contiguous || rc.held.count(seq) > 0) {
     c_deduped_->fetch_add(1, std::memory_order_relaxed);
-  } else {
-    rc.held.emplace(seq, HeldMessage{src, std::move(payload)});
+  } else if (seq == rc.contiguous + 1) {
+    // In order: delivered without a map node, then whatever it unblocks.
+    ++rc.contiguous;
+    EnqueueAtNode(src, dst, std::move(payload));
     while (!rc.held.empty() && rc.held.begin()->first == rc.contiguous + 1) {
       HeldMessage next = std::move(rc.held.begin()->second);
       rc.held.erase(rc.held.begin());
       ++rc.contiguous;
       EnqueueAtNode(next.src, dst, std::move(next.payload));
     }
+  } else {
+    rc.held.emplace(seq, HeldMessage{src, std::move(payload)});
   }
 
   // Transport-level acknowledgement back to the sender (unreliable and
   // cheap; a lost ack only causes a duplicate, which dedup absorbs).
   // Coalesced: one in-flight ack per channel, carrying the receive state
-  // (cumulative + held sequences) captured *now* — arrivals while it is
-  // in flight mark a follow-up capture instead of scheduling their own
-  // acks. The jitter sample is drawn per arrival (from the receiver's
-  // stream) so the RNG stream — and with it every downstream
-  // virtual-clock timestamp — is identical whether or not an arrival's
-  // ack was folded into a pending one.
+  // (cumulative + held sequences) captured *now*; arrivals while it is in
+  // flight fold into one follow-up instead of sending their own acks. The
+  // jitter sample is drawn per arrival (from the receiver's stream) so the
+  // RNG stream — and with it every downstream virtual-clock timestamp — is
+  // identical whether or not an arrival's ack was folded into another.
   const double ack_lat = SampleLatency(dst);
   if (IsLinkDown(dst, src)) {
     // Asymmetric-cut case: data still flows src -> dst, but the ack's
     // reverse path is down, so the ack is lost at the receiving host and
     // the sender keeps retransmitting into dedup (a gray failure). The
     // jitter sample above is still drawn to keep the RNG stream stable.
+    // A pending follow-up still captures at its own time, so it covers
+    // this arrival too: re-capture it, keeping its latency sample.
     c_acks_dropped_link_->fetch_add(1, std::memory_order_relaxed);
-  } else if (loop_->now() >= rc.ack_pending_until) {
-    ScheduleAckApply(src, src_inc, dst, dst_inc, ack_lat, rc);
-    rc.ack_pending_until = loop_->now() + ack_lat;
-  } else if (!rc.followup_scheduled) {
-    rc.followup_scheduled = true;
-    rc.next_ack_lat = ack_lat;
+    if (rc.followup_pending && OwnsNode(src)) {
+      WriteAckRecord(src, c, /*append=*/false, rc.followup_apply);
+    }
+    return;
+  }
+  const double now = loop_->now();
+  if (now >= rc.ack_pending_until) {
+    c_transport_acks_->fetch_add(1, std::memory_order_relaxed);
+    rc.ack_pending_until = now + ack_lat;
+    if (OwnsNode(src)) {
+      WriteAckRecord(src, c, /*append=*/true, rc.ack_pending_until);
+    } else {
+      EmitAck(src, dst, c, rc.ack_pending_until);
+    }
+    return;
+  }
+  // Folded into the follow-up, which captures when the in-flight ack
+  // lands. The newest arrival's latency sample is the one it travels with.
+  const bool first_fold = !rc.followup_pending;
+  rc.followup_pending = true;
+  rc.followup_apply = rc.ack_pending_until + ack_lat;
+  if (first_fold) c_transport_acks_->fetch_add(1, std::memory_order_relaxed);
+  if (OwnsNode(src)) {
+    WriteAckRecord(src, c, first_fold, rc.followup_apply);
+  } else if (first_fold) {
+    // A record cannot be rewritten across a window barrier, so a sender
+    // on another shard gets the follow-up from a receiver-side event.
     loop_->ScheduleAt(rc.ack_pending_until,
-                      [this, src, src_inc, dst, dst_inc]() {
-                        AckFollowup(src, src_inc, dst, dst_inc);
+                      [this, src, dst, src_inc, dst_inc]() {
+                        AckFollowup(src, dst, src_inc, dst_inc);
                       });
-  } else {
-    rc.next_ack_lat = ack_lat;
   }
 }
 
-void Network::ScheduleAckApply(NodeId src, uint32_t src_inc, NodeId dst,
-                               uint32_t dst_inc, double ack_lat,
-                               RecvChannel& rc) {
-  const double apply_time = loop_->now() + ack_lat;
-  const uint64_t cumulative = rc.contiguous;
-  std::vector<uint64_t> sacks;
-  sacks.reserve(rc.held.size());
+void Network::WriteAckRecord(NodeId src, Channel& c, bool append,
+                             double apply) {
+  SendChannel* ch = AckTarget(src, c);
+  if (ch == nullptr) return;
+  if (append) {
+    // Every older record is due by now except, for a new follow-up, the
+    // in-flight one it follows; applying the due ones keeps at most two.
+    ApplyDueAcks(*ch);
+    TCHECK_LT(ch->num_acks, 2u);
+    ++ch->num_acks;
+  }
+  TCHECK_GT(ch->num_acks, 0u);
+  AckRecord& record = ch->acks[ch->num_acks - 1];
+  record.apply = apply;
+  CaptureAck(c.recv, record);
+}
+
+Network::SendChannel* Network::AckTarget(NodeId src, Channel& c) {
+  // An ack for a dead or restarted sender is void: its window is gone.
+  const NodeState& sender = nodes_[src];
+  if (!sender.alive || sender.incarnation != c.src_inc) return nullptr;
+  return &c.send;
+}
+
+void Network::CaptureAck(const RecvChannel& rc, AckRecord& record) {
+  record.cumulative = rc.contiguous;
+  record.sacks.clear();
   for (const auto& [held_seq, held] : rc.held) {
     (void)held;
-    sacks.push_back(held_seq);
+    record.sacks.push_back(held_seq);
   }
-  if (OwnsNode(src)) {
-    loop_->ScheduleAt(apply_time,
-                      [this, src, src_inc, dst, dst_inc, cumulative,
-                       sacks = std::move(sacks)]() {
-                        ApplyAck(src, src_inc, dst, dst_inc, cumulative, sacks);
-                      });
-    return;
-  }
+}
+
+void Network::PromoteFollowup(NodeId src, NodeId dst, Channel& c) {
+  // The in-flight ack has landed: the follow-up, captured at that
+  // instant, is in flight now. A same-shard sender already holds it as a
+  // record; a sender on another shard is sent it now. The receive state
+  // has not changed since the capture instant (arrivals promote first).
+  RecvChannel& rc = c.recv;
+  rc.followup_pending = false;
+  rc.ack_pending_until = rc.followup_apply;
+  if (!OwnsNode(src)) EmitAck(src, dst, c, rc.ack_pending_until);
+}
+
+void Network::EmitAck(NodeId src, NodeId dst, const Channel& c,
+                      double apply_time) {
   // The sender lives on another shard: the captured ack travels as plain
   // data through the barrier merge. `ack_lat >= minimum network latency >
   // window lookahead`, so it lands strictly beyond the current window.
@@ -299,26 +402,28 @@ void Network::ScheduleAckApply(NodeId src, uint32_t src_inc, NodeId dst,
   p.time = apply_time;
   p.src = src;
   p.dst = dst;
-  p.src_inc = src_inc;
-  p.dst_inc = dst_inc;
+  p.src_inc = c.src_inc;
+  p.dst_inc = c.dst_inc;
   p.src_shard = shard_;
   p.emit_seq = next_emit_seq_++;
-  p.cumulative = cumulative;
-  p.sacks = std::move(sacks);
+  AckRecord ack;
+  CaptureAck(c.recv, ack);
+  p.cumulative = ack.cumulative;
+  p.sacks = std::move(ack.sacks);
   outbox_.push_back(std::move(p));
 }
 
-void Network::AckFollowup(NodeId src, uint32_t src_inc, NodeId dst,
+void Network::AckFollowup(NodeId src, NodeId dst, uint32_t src_inc,
                           uint32_t dst_inc) {
-  // The receiver restarted while the ack was in flight: its channel state
-  // is gone, and the pending follow-up dies with it (the sender migrates
-  // the messages to the new incarnation at the next retransmit).
-  auto it = recv_channels_.find(ChannelKey(src, src_inc, dst, dst_inc));
-  if (it == recv_channels_.end()) return;
-  RecvChannel& rc = it->second;
-  rc.followup_scheduled = false;
-  ScheduleAckApply(src, src_inc, dst, dst_inc, rc.next_ack_lat, rc);
-  rc.ack_pending_until = loop_->now() + rc.next_ack_lat;
+  // The receiver restarted while the ack was in flight (its channel state
+  // is gone, and the pending follow-up dies with it), or an arrival at
+  // this instant already promoted the follow-up.
+  Channel* c = FindChannel(src, dst, src_inc, dst_inc);
+  if (c == nullptr) return;
+  if (!c->recv.followup_pending || c->recv.ack_pending_until > loop_->now()) {
+    return;
+  }
+  PromoteFollowup(src, dst, *c);
 }
 
 void Network::EnqueueAtNode(NodeId src, NodeId dst, PayloadPtr payload) {
@@ -335,25 +440,30 @@ void Network::TrimWindow(SendChannel& ch) {
   }
 }
 
-void Network::ApplyAck(NodeId src, uint32_t src_inc, NodeId dst,
-                       uint32_t dst_inc, uint64_t cumulative,
-                       const std::vector<uint64_t>& sacks) {
-  c_transport_acks_->fetch_add(1, std::memory_order_relaxed);
-  NodeState& sender = nodes_[src];
-  if (!sender.alive || sender.incarnation != src_inc) return;
-  auto ch_it = send_channels_.find(ChannelKey(src, src_inc, dst, dst_inc));
-  if (ch_it == send_channels_.end()) return;
-  SendChannel& ch = ch_it->second;
+void Network::ApplyDueAcks(SendChannel& ch) {
+  // Tie rule: an ack due at the same instant as a send or a retransmit
+  // scan takes effect first.
+  const double now = loop_->now();
+  uint32_t applied = 0;
+  while (applied < ch.num_acks && ch.acks[applied].apply <= now) {
+    ApplyAck(ch, ch.acks[applied]);
+    ++applied;
+  }
+  if (applied == 0) return;
+  if (applied < ch.num_acks) std::swap(ch.acks[0], ch.acks[1]);
+  ch.num_acks -= applied;
+}
 
+void Network::ApplyAck(SendChannel& ch, const AckRecord& ack) {
   // Cumulative prefix: everything at or below `cumulative` is received.
-  while (!ch.window.empty() && ch.base_seq <= cumulative) {
+  while (!ch.window.empty() && ch.base_seq <= ack.cumulative) {
     if (!ch.window.front().done) --ch.live;
     ch.window.pop_front();
     ++ch.base_seq;
   }
   // Selective part: sequences the receiver held out-of-order when the ack
   // was captured (already sorted — rc.held iterates in sequence order).
-  for (const uint64_t held_seq : sacks) {
+  for (const uint64_t held_seq : ack.sacks) {
     if (held_seq < ch.base_seq) continue;
     const size_t idx = static_cast<size_t>(held_seq - ch.base_seq);
     if (idx >= ch.window.size()) continue;
@@ -365,48 +475,42 @@ void Network::ApplyAck(NodeId src, uint32_t src_inc, NodeId dst,
     }
   }
   TrimWindow(ch);
-
   if (ch.live == 0) {
     ch.window.clear();
     ch.base_seq = ch.next_seq;
-    if (ch.timer != 0) {
-      loop_->Cancel(ch.timer);
-      ch.timer = 0;
-    }
   }
-  // Otherwise the armed timer stays: acks only remove deadlines, so it
-  // still lower-bounds the earliest live one and re-arms itself on fire.
+  // The armed timer stays, even on an empty window: acks only remove
+  // deadlines, so it still lower-bounds the earliest live one.
 }
 
-void Network::EnsureChannelTimer(uint64_t channel_key, SendChannel& ch,
+void Network::EnsureChannelTimer(NodeId src, NodeId dst, Channel& c,
                                  double deadline) {
+  SendChannel& ch = c.send;
   if (ch.timer != 0 && ch.timer_deadline <= deadline) return;
   if (ch.timer != 0) loop_->Cancel(ch.timer);
   ch.timer_deadline = deadline;
   ch.timer = loop_->ScheduleAt(
-      deadline, [this, channel_key]() { ChannelTimerFired(channel_key); });
+      deadline, [this, src, dst, src_inc = c.src_inc, dst_inc = c.dst_inc]() {
+        ChannelTimerFired(src, dst, src_inc, dst_inc);
+      });
 }
 
-void Network::ChannelTimerFired(uint64_t channel_key) {
-  auto ch_it = send_channels_.find(channel_key);
-  if (ch_it == send_channels_.end()) return;
-  SendChannel& ch = ch_it->second;
+void Network::ChannelTimerFired(NodeId src, NodeId dst, uint32_t src_inc,
+                                uint32_t dst_inc) {
+  Channel* c = FindChannel(src, dst, src_inc, dst_inc);
+  if (c == nullptr) return;
+  SendChannel& ch = c->send;
   ch.timer = 0;
-
-  const NodeId src = static_cast<NodeId>(channel_key >> 42);
-  const uint32_t src_inc = static_cast<uint32_t>((channel_key >> 28) & 0x3FFF);
-  NodeState& sender = nodes_[src];
-  if (!sender.alive || sender.incarnation != src_inc) {
-    // A dead incarnation's channel (KillNode normally erased it already).
-    send_channels_.erase(ch_it);
-    return;
-  }
+  // KillNode cancels a dead incarnation's timers; nothing to do if one
+  // slipped through.
+  if (AckTarget(src, *c) == nullptr) return;
+  ApplyDueAcks(ch);
 
   const double now = loop_->now();
   double next_deadline = 0.0;
   bool has_next = false;
-  // Receiver-restart migrations are deferred: Send() may rehash
-  // send_channels_, so nothing may touch `ch` after the first migration.
+  // Receiver-restart migrations are deferred: Send() may grow the link's
+  // channel list, so nothing may touch `ch` after the first migration.
   std::vector<std::pair<NodeId, PayloadPtr>> migrate;
 
   for (size_t i = 0; i < ch.window.size(); ++i) {
@@ -448,7 +552,7 @@ void Network::ChannelTimerFired(uint64_t channel_key) {
     ch.window.clear();
     ch.base_seq = ch.next_seq;
   } else if (has_next) {
-    EnsureChannelTimer(channel_key, ch, next_deadline);
+    EnsureChannelTimer(src, dst, *c, next_deadline);
   }
 
   for (auto& [migrate_dst, payload] : migrate) {
@@ -513,14 +617,17 @@ void Network::KillNode(NodeId id) {
   if (ns.node == nullptr) return;  // Mirror: the owning shard does the rest.
   ns.inbox.clear();
   // The crashed process loses its send-side channel state: cancel its
-  // (single, per-channel) retransmission timers.
-  for (auto it = send_channels_.begin(); it != send_channels_.end();) {
-    if ((it->first >> 42) == id) {
-      if (it->second.timer != 0) loop_->Cancel(it->second.timer);
-      it = send_channels_.erase(it);
-    } else {
-      ++it;
+  // (single, per-channel) retransmission timers and drop its windows and
+  // ack records. A channel whose receiving half is also unused here goes.
+  for (NodeId dst = 0; dst < nodes_.size(); ++dst) {
+    std::vector<Channel>& link = Link(id, dst);
+    for (Channel& c : link) {
+      if (c.send.timer != 0) loop_->Cancel(c.send.timer);
+      c.send = SendChannel();
     }
+    std::erase_if(link, [&](const Channel& c) {
+      return !OwnsNode(dst) || nodes_[dst].incarnation != c.dst_inc;
+    });
   }
   TLOG_INFO << "node " << id << " killed at t=" << loop_->now();
   if (observer_ != nullptr) observer_->OnNodeKilled(id);
@@ -538,13 +645,30 @@ void Network::RecoverNode(NodeId id) {
   ns.pump_scheduled = false;
   // Receiver-side channel state of old incarnations is garbage now; the
   // incarnation bump means senders open fresh channels (and migrate their
-  // unacknowledged messages onto them at the next retransmission).
-  for (auto it = recv_channels_.begin(); it != recv_channels_.end();) {
-    if (((it->first >> 14) & 0x3FFF) == id) {
-      it = recv_channels_.erase(it);
-    } else {
-      ++it;
+  // unacknowledged messages onto them at the next retransmission). A
+  // follow-up ack whose capture time is still ahead dies with it; one
+  // already captured stays in flight. A channel whose sending half is
+  // also unused here goes.
+  const double now = loop_->now();
+  for (NodeId src = 0; src < nodes_.size(); ++src) {
+    std::vector<Channel>& link = Link(src, id);
+    for (Channel& c : link) {
+      if (c.recv.followup_pending && c.recv.ack_pending_until > now &&
+          OwnsNode(src)) {
+        // The follow-up is the sender's newest record (if the sender
+        // still holds the channel's window).
+        SendChannel* ch = AckTarget(src, c);
+        if (ch != nullptr) {
+          TCHECK_GT(ch->num_acks, 0u);
+          --ch->num_acks;
+        }
+      }
+      c.recv = RecvChannel();
     }
+    std::erase_if(link, [&](const Channel& c) {
+      return !OwnsNode(src) || !nodes_[src].alive ||
+             nodes_[src].incarnation != c.src_inc;
+    });
   }
   TLOG_INFO << "node " << id << " recovered at t=" << loop_->now();
   if (observer_ != nullptr) observer_->OnNodeRecovered(id);

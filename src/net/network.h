@@ -7,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
@@ -32,7 +31,7 @@ using NetworkObserver = TransportObserver;
 ///
 /// Two kinds exist because the transport has exactly two cross-node
 /// interactions: a wire arrival at the receiving host's NIC, and a
-/// transport ack applying at the sender. Everything else (pumps, timers,
+/// transport ack reaching the sender. Everything else (pumps, timers,
 /// retransmissions) is local to the endpoint's own shard.
 struct CrossShardPacket {
   enum class Kind { kWireArrival, kAckApply };
@@ -51,7 +50,7 @@ struct CrossShardPacket {
   PayloadPtr payload;
   bool reliable = false;
 
-  // kAckApply payload: receive state captured when the ack was scheduled.
+  // kAckApply payload: receive state captured when the ack was sent.
   uint64_t cumulative = 0;
   std::vector<uint64_t> sacks;
 };
@@ -176,8 +175,10 @@ class Network final : public Transport {
   bool outbox_empty() const { return outbox_.empty(); }
 
   /// Injects a packet routed to a node this instance owns: schedules the
-  /// NIC-ingress charge (wire arrival) or the captured-ack application at
-  /// `p.time` on this shard's loop. Barrier-only, like TakeOutbox.
+  /// NIC-ingress charge of a wire arrival at `p.time` on this shard's
+  /// loop, or appends a captured ack to the sender's channel as a record
+  /// that takes effect at `p.time` (no event). Barrier-only, like
+  /// TakeOutbox.
   void InjectCrossShard(CrossShardPacket p);
 
  private:
@@ -211,11 +212,11 @@ class Network final : public Transport {
   // map nodes — with `done` marking acked/dropped holes until the front
   // can advance. One deadline-ordered retransmit timer serves the whole
   // channel: it is armed at (a lower bound of) the earliest live deadline,
-  // re-scanned and re-armed when it fires, and cancelled when the window
-  // drains. Acks can only push the earliest deadline later, so leaving the
-  // timer in place on ack keeps the bound valid at worst one spurious
-  // wakeup per ack-timeout — far cheaper than the per-message timer
-  // schedule/cancel churn this replaces.
+  // and when it fires it applies the due acks, retransmits what is still
+  // overdue and re-arms only while sends are outstanding. Acks can only
+  // push the earliest deadline later, so the timer is never cancelled on
+  // ack, not even when the window drains: an idle channel keeps its armed
+  // timer and pays one spurious wakeup for it.
   struct PendingSend {
     NodeId dst = 0;
     uint32_t dst_inc = 0;  // receiver incarnation the channel targets
@@ -225,6 +226,16 @@ class Network final : public Transport {
     int retries = 0;
     bool done = false;  // acked (or dropped); awaiting front advance
   };
+  // A transport ack on its way to the sender: the receive state (cumulative
+  // prefix + held out-of-order seqs) the receiver captured, taking effect
+  // at `apply`. Acks are records, not events: the sender applies every
+  // record with `apply <= now` before it reads its window (Send and the
+  // retransmit scan), which is all an ack can influence.
+  struct AckRecord {
+    double apply = 0.0;
+    uint64_t cumulative = 0;
+    std::vector<uint64_t> sacks;
+  };
   struct SendChannel {
     uint64_t next_seq = 1;
     uint64_t base_seq = 1;  // seq of window.front()
@@ -232,19 +243,21 @@ class Network final : public Transport {
     size_t live = 0;  // window entries with done == false
     EventId timer = 0;
     double timer_deadline = 0.0;
+    // Unapplied acks in apply order: at most the in-flight one and one
+    // follow-up whose capture time has not passed yet.
+    AckRecord acks[2];
+    uint32_t num_acks = 0;
   };
 
-  // Receiver-side ordered-delivery bookkeeping per (src, src_incarnation):
-  // reliable channels behave like TCP streams — duplicates are dropped and
-  // out-of-order arrivals are held until the sequence gap fills.
-  // Transport acks are coalesced, and their receive state (cumulative +
-  // held sequences) is captured when the ack is *scheduled*, not when it
-  // lands: the ack then travels as plain data, so the parallel backend
-  // can apply it on the sender's shard without reading receiver state
-  // across the seam. Arrivals folded in while an ack is in flight mark
-  // `followup_scheduled`; when the in-flight ack's apply time passes, a
-  // receiver-local follow-up captures the newer state and schedules the
-  // next ack.
+  // Receiver-side ordered-delivery bookkeeping: reliable channels behave
+  // like TCP streams — duplicates are dropped and out-of-order arrivals are
+  // held until the sequence gap fills. Transport acks are coalesced: one
+  // ack is in flight per channel, carrying the receive state captured when
+  // it was sent. Arrivals while it is in flight fold into one follow-up,
+  // captured when the in-flight ack lands (`ack_pending_until`) and sent
+  // then. The receive state changes only on arrivals, so each folded
+  // arrival simply re-captures the follow-up; an arrival at or after the
+  // capture time first promotes the follow-up to in-flight.
   struct HeldMessage {
     NodeId src = 0;
     PayloadPtr payload;
@@ -253,20 +266,21 @@ class Network final : public Transport {
     uint64_t contiguous = 0;               // all seq <= this delivered
     std::map<uint64_t, HeldMessage> held;  // arrived out of order
     double ack_pending_until = -1.0;  // apply time of the in-flight ack
-    bool followup_scheduled = false;  // a follow-up capture is queued
-    double next_ack_lat = 0.0;        // latency drawn for the follow-up
+    bool followup_pending = false;    // a follow-up captures at that time
+    double followup_apply = 0.0;      // and takes effect at this one
   };
 
   // A channel is one "TCP connection": it exists between specific
   // incarnations of the two endpoints. Either endpoint restarting starts a
-  // fresh channel with a fresh sequence space.
-  static uint64_t ChannelKey(NodeId src, uint32_t src_inc, NodeId dst,
-                             uint32_t dst_inc) {
-    return (static_cast<uint64_t>(src & 0x3FFF) << 42) |
-           (static_cast<uint64_t>(src_inc & 0x3FFF) << 28) |
-           (static_cast<uint64_t>(dst & 0x3FFF) << 14) |
-           static_cast<uint64_t>(dst_inc & 0x3FFF);
-  }
+  // fresh channel with a fresh sequence space. Each side is used only by
+  // the shard owning that endpoint, so on a serial instance a receiver
+  // hands its ack to the sender's half of the same entry.
+  struct Channel {
+    uint32_t src_inc = 0;
+    uint32_t dst_inc = 0;
+    SendChannel send;
+    RecvChannel recv;
+  };
 
   static uint64_t LinkKey(NodeId src, NodeId dst) {
     return (static_cast<uint64_t>(src) << 32) | dst;
@@ -278,21 +292,34 @@ class Network final : public Transport {
   bool OwnsNode(NodeId id) const { return nodes_[id].node != nullptr; }
 
   void AddNodeEntry(Node* node, HostId host, double speed_factor);
+  std::vector<Channel>& Link(NodeId src, NodeId dst) {
+    if (link_stride_ != nodes_.size()) ResizeLinks();
+    return links_[static_cast<size_t>(src) * link_stride_ + dst];
+  }
+  void ResizeLinks();
+  Channel* FindChannel(NodeId src, NodeId dst, uint32_t src_inc,
+                       uint32_t dst_inc);
+  Channel& ChannelFor(NodeId src, NodeId dst, uint32_t src_inc,
+                      uint32_t dst_inc);
   void TransmitToHost(NodeId src, NodeId dst, uint32_t src_inc, uint64_t seq,
                       PayloadPtr payload, bool reliable, bool retransmit);
   void ArriveAtNode(NodeId src, NodeId dst, uint32_t src_inc,
                     uint32_t dst_inc, uint64_t seq, PayloadPtr payload,
                     bool reliable);
   void EnqueueAtNode(NodeId src, NodeId dst, PayloadPtr payload);
-  void ScheduleAckApply(NodeId src, uint32_t src_inc, NodeId dst,
-                        uint32_t dst_inc, double ack_lat, RecvChannel& rc);
-  void ApplyAck(NodeId src, uint32_t src_inc, NodeId dst, uint32_t dst_inc,
-                uint64_t cumulative, const std::vector<uint64_t>& sacks);
-  void AckFollowup(NodeId src, uint32_t src_inc, NodeId dst,
+  SendChannel* AckTarget(NodeId src, Channel& c);
+  void WriteAckRecord(NodeId src, Channel& c, bool append, double apply);
+  void PromoteFollowup(NodeId src, NodeId dst, Channel& c);
+  void EmitAck(NodeId src, NodeId dst, const Channel& c, double apply_time);
+  void AckFollowup(NodeId src, NodeId dst, uint32_t src_inc,
                    uint32_t dst_inc);
-  void EnsureChannelTimer(uint64_t channel_key, SendChannel& ch,
+  static void CaptureAck(const RecvChannel& rc, AckRecord& record);
+  void ApplyDueAcks(SendChannel& ch);
+  static void ApplyAck(SendChannel& ch, const AckRecord& ack);
+  void EnsureChannelTimer(NodeId src, NodeId dst, Channel& c,
                           double deadline);
-  void ChannelTimerFired(uint64_t channel_key);
+  void ChannelTimerFired(NodeId src, NodeId dst, uint32_t src_inc,
+                         uint32_t dst_inc);
   static void TrimWindow(SendChannel& ch);
   void SchedulePump(NodeId id);
   void Pump(NodeId id, uint32_t incarnation);
@@ -316,8 +343,11 @@ class Network final : public Transport {
   metric::Counter* c_acks_dropped_link_;
   std::vector<NodeState> nodes_;
   std::vector<HostState> hosts_;
-  std::unordered_map<uint64_t, SendChannel> send_channels_;
-  std::unordered_map<uint64_t, RecvChannel> recv_channels_;
+  // Channels per (src, dst) pair, indexed src * link_stride_ + dst; each
+  // entry holds one channel per incarnation pair seen on that link. The
+  // table follows the node count lazily (ResizeLinks).
+  std::vector<std::vector<Channel>> links_;
+  size_t link_stride_ = 0;
   std::set<uint64_t> down_links_;  // LinkKey(src, dst) of one-way cuts
   std::vector<CrossShardPacket> outbox_;
   uint64_t next_emit_seq_ = 0;

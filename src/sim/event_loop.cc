@@ -1,6 +1,8 @@
 #include "sim/event_loop.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -26,7 +28,13 @@ EventId EventLoop::Schedule(double delay, Callback fn) {
 }
 
 EventId EventLoop::ScheduleAt(double time, Callback fn) {
-  if (time < now_) time = now_;
+  // The clamp also folds -0.0 onto the clock, so every queued time is +0.0
+  // or positive and its bit pattern orders like the value. A NaN fails
+  // every comparison, so it lands here too instead of breaking heap order.
+  if (!(time > now_)) {
+    TCHECK(!std::isnan(time)) << "event scheduled at a NaN time";
+    time = now_;
+  }
 
   uint32_t index;
   if (!free_slots_.empty()) {
@@ -41,7 +49,7 @@ EventId EventLoop::ScheduleAt(double time, Callback fn) {
   slot.fn = std::move(fn);
   slot.seq = next_seq_++;
 
-  HeapPush(HeapEntry{time, (slot.seq << 24) | index});
+  Push(HeapEntry{std::bit_cast<uint64_t>(time), (slot.seq << 24) | index});
   ++live_;
   return (static_cast<uint64_t>(slot.gen) << 32) | index;
 }
@@ -53,10 +61,10 @@ void EventLoop::Cancel(EventId id) {
   Slot& slot = slots_[index];
   if (slot.gen != gen || !slot.fn) return;
   // Eager reclamation: the closure dies now, the slot is immediately
-  // reusable, and only the seq-mismatched heap entry lingers.
+  // reusable, and only the seq-mismatched queue entry lingers.
   slot.fn = nullptr;
   ++slot.gen;
-  slot.seq = 0;  // no live seq is ever 0, so the heap entry reads as stale
+  slot.seq = 0;  // no live seq is ever 0, so the queue entry reads as stale
   free_slots_.push_back(index);
   TCHECK_GT(live_, 0u);
   --live_;
@@ -64,15 +72,35 @@ void EventLoop::Cancel(EventId id) {
   MaybeCompactHeap();
 }
 
-void EventLoop::HeapPush(HeapEntry entry) {
-  heap_.push_back(entry);
-  size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const size_t parent = (i - 1) / kArity;
-    if (!heap_[i].Before(heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
+void EventLoop::Push(const HeapEntry& entry) {
+  // The slot holds the earliest entry whenever it is occupied. A newcomer
+  // takes it if it orders before everything queued; the entry it displaces
+  // is then the heap's new minimum.
+  if (!has_front_) {
+    if (heap_.empty() || entry.Before(heap_.front())) {
+      front_ = entry;
+      has_front_ = true;
+    } else {
+      HeapPush(entry);
+    }
+  } else if (entry.Before(front_)) {
+    HeapPush(front_);
+    front_ = entry;
+  } else {
+    HeapPush(entry);
   }
+}
+
+void EventLoop::HeapPush(HeapEntry entry) {
+  size_t hole = heap_.size();
+  heap_.push_back(entry);
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / kArity;
+    if (!entry.Before(heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = entry;
 }
 
 void EventLoop::SiftDown(size_t i) {
@@ -92,27 +120,68 @@ void EventLoop::SiftDown(size_t i) {
 }
 
 EventLoop::HeapEntry EventLoop::HeapPopTop() {
+  // Bottom-up pop: the root's hole sinks along the min-child path to a
+  // leaf without comparing against the displaced last entry, which almost
+  // always belongs near the bottom anyway; that entry then sifts up from
+  // the leaf, usually by zero or one level.
   const HeapEntry top = heap_.front();
-  heap_.front() = heap_.back();
+  const HeapEntry last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) SiftDown(0);
+  const size_t n = heap_.size();
+  if (n == 0) return top;
+  HeapEntry* h = heap_.data();
+  size_t hole = 0;
+  for (;;) {
+    const size_t c = hole * kArity + 1;
+    size_t best;
+    if (c + kArity <= n) {
+      // Full node: a min-of-4 tournament the compiler turns into cmovs.
+      const size_t m01 = h[c + 1].Before(h[c]) ? c + 1 : c;
+      const size_t m23 = h[c + 3].Before(h[c + 2]) ? c + 3 : c + 2;
+      best = h[m23].Before(h[m01]) ? m23 : m01;
+    } else if (c < n) {
+      best = c;
+      for (size_t k = c + 1; k < n; ++k) {
+        if (h[k].Before(h[best])) best = k;
+      }
+    } else {
+      break;
+    }
+    h[hole] = h[best];
+    hole = best;
+  }
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / kArity;
+    if (!last.Before(h[parent])) break;
+    h[hole] = h[parent];
+    hole = parent;
+  }
+  h[hole] = last;
   return top;
 }
 
 void EventLoop::DropStaleTop() {
-  while (!heap_.empty() && IsStale(heap_.front())) {
-    HeapPopTop();
+  for (;;) {
+    if (has_front_) {
+      if (!IsStale(front_)) return;
+      has_front_ = false;
+    } else if (!heap_.empty() && IsStale(heap_.front())) {
+      HeapPopTop();
+    } else {
+      return;
+    }
     TCHECK_GT(stale_, 0u);
     --stale_;
   }
 }
 
 void EventLoop::MaybeCompactHeap() {
-  // Cancel-heavy workloads (retransmit timers re-armed per ack) would
-  // otherwise grow the heap with far-future tombstones until their fire
-  // time. When they dominate, filter and re-heapify in one O(n) pass; the
-  // (time, seq) total order makes the rebuild trivially order-preserving.
-  if (stale_ < 64 || stale_ <= heap_.size() / 2) return;
+  // Cancel-heavy workloads would otherwise grow the heap with far-future
+  // tombstones until their fire time. When they dominate, filter and
+  // re-heapify in one O(n) pass; the (time, seq) total order makes the
+  // rebuild trivially order-preserving.
+  if (stale_ < 64 || stale_ <= heap_size() / 2) return;
+  if (has_front_ && IsStale(front_)) has_front_ = false;
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                              [this](const HeapEntry& e) { return IsStale(e); }),
               heap_.end());
@@ -125,8 +194,14 @@ void EventLoop::MaybeCompactHeap() {
 
 bool EventLoop::FireNext() {
   DropStaleTop();
-  if (heap_.empty()) return false;
-  const HeapEntry top = HeapPopTop();
+  if (QueueEmpty()) return false;
+  HeapEntry top;
+  if (has_front_) {
+    top = front_;
+    has_front_ = false;
+  } else {
+    top = HeapPopTop();
+  }
 
   Slot& slot = slots_[top.slot()];
   TCHECK(static_cast<bool>(slot.fn)) << "event without callback";
@@ -137,7 +212,7 @@ bool EventLoop::FireNext() {
   free_slots_.push_back(top.slot());
   --live_;
 
-  now_ = top.time;
+  now_ = std::bit_cast<double>(top.time_bits);
   ++fired_;
   fn();  // may re-enter Schedule/Cancel freely: slab state is consistent
   return true;
@@ -154,7 +229,7 @@ uint64_t EventLoop::RunUntil(double deadline) {
   for (;;) {
     // Peek past cancelled tombstones to find the next real event time.
     DropStaleTop();
-    if (heap_.empty() || heap_.front().time > deadline) {
+    if (QueueEmpty() || std::bit_cast<double>(Top().time_bits) > deadline) {
       // Only when every due event has fired may the clock jump to the
       // deadline; a budget break below leaves now_ at the last fired event
       // so the undelivered ones are still in the future, not the past.
@@ -170,8 +245,8 @@ bool EventLoop::Step() { return FireNext(); }
 
 double EventLoop::NextEventTime() {
   DropStaleTop();
-  if (heap_.empty()) return std::numeric_limits<double>::infinity();
-  return heap_.front().time;
+  if (QueueEmpty()) return std::numeric_limits<double>::infinity();
+  return std::bit_cast<double>(Top().time_bits);
 }
 
 }  // namespace tornado

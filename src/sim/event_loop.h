@@ -25,13 +25,16 @@ using EventId = uint64_t;
 /// execution, which the tests rely on.
 ///
 /// Implementation: a free-listed slot slab holds the callbacks, and a
-/// 4-ary min-heap of (time, seq) entries orders them. Scheduling reuses a
-/// free slot (no per-event map nodes), Cancel is an O(1) generation bump
-/// that eagerly releases the callback and returns the slot to the free
-/// list, and firing lazily skips heap entries whose generation no longer
-/// matches. Steady state allocates nothing: slots, heap storage, and the
-/// free list are all recycled vectors, and callbacks up to 64 capture
-/// bytes live inline in their slot.
+/// 4-ary min-heap of (time, seq) entries orders them. The earliest pending
+/// entry may sit in a one-entry slot in front of the heap, so an event
+/// that schedules the next earliest one (a NIC hop, a pump) skips the heap
+/// on both the push and the pop. Scheduling reuses a free slot (no
+/// per-event map nodes), Cancel is an O(1) generation bump that eagerly
+/// releases the callback and returns the slot to the free list, and firing
+/// lazily skips heap entries whose generation no longer matches. Steady
+/// state allocates nothing: slots, heap storage, and the free list are all
+/// recycled vectors, and callbacks up to 64 capture bytes live inline in
+/// their slot.
 class EventLoop {
  public:
   using Callback = InlineFn<64>;
@@ -40,7 +43,8 @@ class EventLoop {
   /// to zero (fire "immediately", after already-queued same-time events).
   EventId Schedule(double delay, Callback fn);
 
-  /// Schedules `fn` at an absolute virtual time (clamped to >= now).
+  /// Schedules `fn` at an absolute virtual time (clamped to >= now; a
+  /// NaN time is a fatal error).
   EventId ScheduleAt(double time, Callback fn);
 
   /// Cancels a pending event. Cancelling an already-fired or unknown event
@@ -81,9 +85,10 @@ class EventLoop {
 
   /// Introspection for tests and the perf harness: total slots ever
   /// created (the slab's high-water mark of concurrently live events) and
-  /// the physical heap length including not-yet-skipped tombstones.
+  /// the physical queue length (heap plus the earliest-entry slot)
+  /// including not-yet-skipped tombstones.
   size_t slot_capacity() const { return slots_.size(); }
-  size_t heap_size() const { return heap_.size(); }
+  size_t heap_size() const { return heap_.size() + (has_front_ ? 1 : 0); }
 
  private:
   struct Slot {
@@ -92,28 +97,37 @@ class EventLoop {
     uint64_t seq = 0;   // seq of the currently scheduled event; 0 = none
   };
 
-  // 16 bytes: the global monotone insertion counter `seq` (slot indices
-  // are recycled, so they cannot serve as the tie-breaker the way the old
-  // monotone EventIds did) and the slot index share one word, seq in the
-  // high 40 bits. Seqs are unique, so comparing the packed key compares
-  // seqs — same-time events fire in schedule order — and four 16-byte
-  // children span exactly one cache line.
+  // 16 bytes: the bit pattern of the (non-negative, never NaN) fire time,
+  // which orders like the double itself, and a key packing the global
+  // monotone insertion counter `seq` (slot indices are recycled, so they
+  // cannot serve as the tie-breaker) with the slot index, seq in the high
+  // 40 bits. Seqs are unique, so one unsigned 128-bit compare of
+  // (time bits, key) is the whole (time, insertion seq) order — same-time
+  // events fire in schedule order — and four 16-byte children span
+  // exactly one cache line.
   struct HeapEntry {
-    double time;
+    uint64_t time_bits;
     uint64_t key;  // (seq << 24) | slot
 
     uint32_t slot() const { return static_cast<uint32_t>(key & 0xFFFFFF); }
     uint64_t seq() const { return key >> 24; }
+    unsigned __int128 order() const {
+      return (static_cast<unsigned __int128>(time_bits) << 64) | key;
+    }
     bool Before(const HeapEntry& other) const {
-      if (time != other.time) return time < other.time;
-      return key < other.key;
+      return order() < other.order();
     }
   };
 
   bool FireNext();
+  void Push(const HeapEntry& entry);
   void HeapPush(HeapEntry entry);
   void SiftDown(size_t i);
   HeapEntry HeapPopTop();
+  // The earliest queued entry (the slot, else the heap root); the queue
+  // must be non-empty.
+  const HeapEntry& Top() const { return has_front_ ? front_ : heap_.front(); }
+  bool QueueEmpty() const { return !has_front_ && heap_.empty(); }
   void DropStaleTop();
   bool IsStale(const HeapEntry& e) const {
     return slots_[e.slot()].seq != e.seq();
@@ -126,6 +140,9 @@ class EventLoop {
   uint64_t event_budget_ = 0;
   size_t live_ = 0;   // scheduled and not yet fired/cancelled
   size_t stale_ = 0;  // cancelled entries still physically in the heap
+  // When set, `front_` orders before every heap entry.
+  bool has_front_ = false;
+  HeapEntry front_{};
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <map>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/event_loop.h"
 #include "tests/test_util.h"
 
@@ -233,6 +240,127 @@ TEST(EventLoopBudgetTest, ExhaustedBudgetWithDrainedQueueStillReachesDeadline) {
   EXPECT_DOUBLE_EQ(loop.now(), 1.0);
 }
 
+
+TEST(EventLoopTest, NaNTimeIsRejected) {
+  EventLoop loop;
+  // A NaN fails every comparison, so a plain `time < now` clamp would let
+  // it into the heap and silently break its order.
+  EXPECT_DEATH(loop.ScheduleAt(std::nan(""), []() {}), "NaN");
+}
+
+// ---------------------------------------------------------------------------
+// Property test: random schedule / cancel / fire sequences against a
+// reference ordered by (time, insertion seq). Times come from a coarse grid
+// so same-time ties are common; the mix includes zero delays, -0.0,
+// cancelling the earliest pending entry (the one the loop may hold outside
+// its heap) and cancel bursts large enough to trigger heap compaction.
+// ---------------------------------------------------------------------------
+
+class ReferenceQueue {
+ public:
+  using Key = std::pair<double, uint64_t>;  // (time, insertion seq)
+
+  ReferenceQueue(EventLoop* loop, std::vector<uint64_t>* fired)
+      : loop_(loop), fired_(fired) {}
+
+  void ScheduleAt(double time) {
+    const uint64_t seq = next_seq_++;
+    const double at = time <= loop_->now() ? loop_->now() : time;
+    const EventId id =
+        loop_->ScheduleAt(time, [fired = fired_, seq]() { fired->push_back(seq); });
+    pending_.emplace(Key{at, seq}, id);
+  }
+
+  void Cancel(std::map<Key, EventId>::iterator it) {
+    loop_->Cancel(it->second);
+    pending_.erase(it);
+  }
+
+  // Fires one event and checks it was the reference's earliest.
+  void Step() {
+    ASSERT_FALSE(pending_.empty());
+    const Key expected = pending_.begin()->first;
+    ASSERT_TRUE(loop_->Step());
+    ASSERT_FALSE(fired_->empty());
+    EXPECT_EQ(fired_->back(), expected.second);
+    EXPECT_EQ(loop_->now(), expected.first);
+    pending_.erase(pending_.begin());
+  }
+
+  void CheckAgrees() {
+    ASSERT_EQ(loop_->pending(), pending_.size());
+    ASSERT_EQ(loop_->empty(), pending_.empty());
+    const double next = pending_.empty()
+                            ? std::numeric_limits<double>::infinity()
+                            : pending_.begin()->first.first;
+    ASSERT_EQ(loop_->NextEventTime(), next);
+  }
+
+  std::map<Key, EventId>& pending() { return pending_; }
+
+ private:
+  EventLoop* loop_;
+  std::vector<uint64_t>* fired_;
+  std::map<Key, EventId> pending_;
+  uint64_t next_seq_ = 0;
+};
+
+TEST(EventLoopPropertyTest, RandomScheduleCancelFireMatchesReference) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    EventLoop loop;
+    std::vector<uint64_t> fired;
+    ReferenceQueue ref(&loop, &fired);
+    Rng rng(seed);
+    for (int op = 0; op < 3000; ++op) {
+      const uint64_t pick = rng.NextUint64(100);
+      if (pick < 40) {
+        // Grid times: ties with pending and with already-fired times.
+        ref.ScheduleAt(loop.now() +
+                       0.125 * static_cast<double>(rng.NextUint64(8)));
+      } else if (pick < 45) {
+        ref.ScheduleAt(loop.now());  // zero delay
+      } else if (pick < 48) {
+        ref.ScheduleAt(-0.0);  // clamps to now; ordered by seq there
+      } else if (pick < 50) {
+        ref.ScheduleAt(loop.now() - 1.0);  // in the past: clamps to now
+      } else if (pick < 60 && !ref.pending().empty()) {
+        ref.Cancel(ref.pending().begin());  // the earliest pending entry
+      } else if (pick < 70 && !ref.pending().empty()) {
+        auto it = ref.pending().begin();
+        std::advance(it, rng.NextUint64(ref.pending().size()));
+        ref.Cancel(it);
+      } else if (pick < 71) {
+        // Far-future burst, mostly cancelled: tombstones dominate the
+        // heap and compaction runs.
+        for (int i = 0; i < 200; ++i) {
+          ref.ScheduleAt(loop.now() + 100.0 +
+                         static_cast<double>(rng.NextUint64(4)));
+        }
+        for (auto it = ref.pending().begin(); it != ref.pending().end();) {
+          if (it->first.first >= loop.now() + 100.0 &&
+              rng.NextUint64(10) != 0) {
+            auto next = std::next(it);
+            ref.Cancel(it);
+            it = next;
+          } else {
+            ++it;
+          }
+        }
+      } else if (!ref.pending().empty()) {
+        ref.Step();
+      }
+      ref.CheckAgrees();
+      if (HasFatalFailure()) return;
+    }
+    while (!ref.pending().empty()) {
+      ref.Step();
+      if (HasFatalFailure()) return;
+    }
+    ref.CheckAgrees();
+    EXPECT_FALSE(loop.Step());
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Slot-slab behavior: eager reclamation, free-list reuse, heap compaction.

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -25,11 +27,13 @@ class SinkNode : public Node {
  public:
   void OnMessage(NodeId src, const Payload& msg) override {
     received.emplace_back(src, static_cast<const TestPayload&>(msg).value);
+    received_at.push_back(now());
     if (extra_cost > 0.0) AddCost(extra_cost);
   }
   void OnRestart() override { ++restarts; }
 
   std::vector<std::pair<NodeId, int>> received;
+  std::vector<double> received_at;  // virtual time of each OnMessage
   double extra_cost = 0.0;
   int restarts = 0;
 };
@@ -167,11 +171,13 @@ TEST_F(NetworkTest, ScheduleOnNodeRespectsIncarnation) {
 }
 
 TEST_F(NetworkTest, LocalMessagesSkipTheNic) {
-  // Two nodes on one host exchange messages with tiny latency.
+  // Two nodes on one host exchange messages with tiny latency. (Run()
+  // itself ends later, at the channel's idle retransmit timer.)
   Init(2, 1);
   Send(0, 1, 1);
   loop.Run();
-  EXPECT_LT(loop.now(), 1e-3);
+  ASSERT_EQ(sinks[1]->received_at.size(), 1u);
+  EXPECT_LT(sinks[1]->received_at[0], 1e-3);
 }
 
 TEST_F(NetworkTest, SharedNicSerializesCrossHostTraffic) {
@@ -197,11 +203,10 @@ TEST_F(NetworkTest, MetricsCountTraffic) {
 
 
 TEST_F(NetworkTest, BurstCoalescesAcksAndFiresFewerEventsPerMessage) {
-  // Steady-state event cost per delivered reliable message. The old
-  // transport fired at least four events per message on a cross-host burst
-  // (egress NIC hop, ingress NIC hop, one transport ack per message, plus
-  // ~one service-queue pump); cumulative acks fold the per-message ack
-  // events away, so the burst must land strictly below that bound.
+  // Steady-state event cost per delivered reliable message. A cross-host
+  // message costs two NIC-hop events and at most one service-queue pump;
+  // acks are records on the sender's channel, not events, and the channel
+  // adds one retransmit-timer wakeup for the whole burst.
   Init(2, 2);
   constexpr int kN = 200;
   for (int i = 0; i < kN; ++i) Send(0, 1, i);
@@ -212,14 +217,120 @@ TEST_F(NetworkTest, BurstCoalescesAcksAndFiresFewerEventsPerMessage) {
   EXPECT_EQ(network->metrics().Get(metric::kMessagesDelivered), kN);
   EXPECT_EQ(network->metrics().Get(metric::kMessagesRetransmitted), 0);
 
-  EXPECT_LT(fired, static_cast<uint64_t>(3.5 * kN))
-      << "per-message-ack transports cannot go below 4 events/message";
+  EXPECT_LE(fired, static_cast<uint64_t>(3 * kN + 1))
+      << "acks and timers must not add events per message";
   // Arrivals spaced one NIC wire time apart share acks that travel one
   // network latency: coalescing must collapse them well below one ack per
   // message (each ack covers ~net_latency / nic_wire_time arrivals).
   const int64_t acks = network->metrics().Get(metric::kTransportAcks);
   EXPECT_GT(acks, 0);
   EXPECT_LT(acks, kN / 2);
+}
+
+TEST_F(NetworkTest, LostAcksRetransmitAtAckTimeoutThenDoubleTheInterval) {
+  // The reverse path is cut, so every ack is lost: the sender retransmits
+  // at exactly ack_timeout after the send, then at doubling intervals.
+  CostModel cost;
+  Init(2, 2, cost);
+  network->SetLinkDown(1, 0, true);
+  Send(0, 1, 3);
+  const auto retransmits = [&]() {
+    return network->metrics().Get(metric::kMessagesRetransmitted);
+  };
+  double at = 0.0;
+  double interval = cost.ack_timeout;
+  for (int expected = 1; expected <= 4; ++expected) {
+    at += interval;
+    loop.RunUntil(std::nextafter(at, 0.0));
+    EXPECT_EQ(retransmits(), expected - 1) << "before t=" << at;
+    loop.RunUntil(at);
+    EXPECT_EQ(retransmits(), expected) << "at t=" << at;
+    interval = std::min(2.0 * interval, cost.ack_timeout_max);
+  }
+  // Every copy reached the receiver; dedup kept the delivery single.
+  loop.RunUntil(at + 0.01);
+  ASSERT_EQ(sinks[1]->received.size(), 1u);
+  EXPECT_EQ(network->metrics().Get(metric::kMessagesDeduped), 4);
+  EXPECT_EQ(network->metrics().Get(metric::kAcksDroppedLink), 5);
+}
+
+TEST_F(NetworkTest, AckStillARecordSuppressesRetransmission) {
+  // Without jitter the ack lands at exactly t = wire + latency + wire +
+  // latency. With ack_timeout set to that instant, the retransmit scan and
+  // the ack coincide; the ack, still only a record on the sender's
+  // channel, takes effect before the scan, so nothing is retransmitted.
+  CostModel cost;
+  cost.net_jitter = 0.0;
+  const double arrival =
+      (cost.nic_wire_time + cost.net_latency) + cost.nic_wire_time;
+  cost.ack_timeout = arrival + cost.net_latency;
+  Init(2, 2, cost);
+  Send(0, 1, 8);
+  const uint64_t fired = loop.Run();
+  ASSERT_EQ(sinks[1]->received.size(), 1u);
+  EXPECT_EQ(network->metrics().Get(metric::kMessagesRetransmitted), 0);
+  EXPECT_EQ(network->metrics().Get(metric::kTransportAcks), 1);
+  // Two NIC hops, one pump, one timer wakeup: the ack fired no event.
+  EXPECT_EQ(fired, 4u);
+  EXPECT_DOUBLE_EQ(loop.now(), cost.ack_timeout);
+}
+
+TEST_F(NetworkTest, ReceiverRestartKillsPendingFollowupAck) {
+  // Message 0's ack is in flight when message 1 arrives, so 1 folds into a
+  // follow-up ack captured when 0's ack lands. The receiver restarts in
+  // between: the in-flight ack still acknowledges 0, but the follow-up
+  // dies with the receiver's channel state, so 1 is migrated to the new
+  // incarnation at its retransmit deadline and delivered again there.
+  CostModel cost;
+  cost.net_jitter = 0.0;
+  Init(2, 2, cost);
+  const double arrival =
+      (cost.nic_wire_time + cost.net_latency) + cost.nic_wire_time;
+  const double first_ack_lands = arrival + cost.net_latency;
+  Send(0, 1, 0);
+  loop.RunUntil(1e-4);
+  Send(0, 1, 1);  // arrives at 1e-4 + arrival, inside (arrival, lands)
+  loop.RunUntil(1e-4 + arrival + 1e-5);
+  ASSERT_LT(loop.now(), first_ack_lands);
+  ASSERT_EQ(sinks[1]->received.size(), 2u);
+  network->KillNode(1);
+  network->RecoverNode(1);
+  loop.Run();
+
+  EXPECT_EQ(sinks[1]->restarts, 1);
+  ASSERT_EQ(sinks[1]->received.size(), 3u);
+  EXPECT_EQ(sinks[1]->received[2].second, 1);
+  EXPECT_EQ(network->metrics().Get(metric::kMessagesRetransmitted), 1);
+}
+
+TEST_F(NetworkTest, PendingFollowupAckCoversArrivalsAfterTheAckPathIsCut) {
+  // Message 0's ack is in flight when message 1 arrives and folds into a
+  // follow-up, captured when 0's ack lands. The ack path is then cut and
+  // message 2 arrives before that capture time: its own ack is lost, but
+  // the follow-up is captured later and so acknowledges 2 as well. Nothing
+  // is retransmitted.
+  CostModel cost;
+  cost.net_jitter = 0.0;
+  Init(2, 2, cost);
+  const double arrival =
+      (cost.nic_wire_time + cost.net_latency) + cost.nic_wire_time;
+  const double first_ack_lands = arrival + cost.net_latency;
+  Send(0, 1, 0);
+  loop.RunUntil(5e-5);
+  Send(0, 1, 1);  // arrives at 5e-5 + arrival: folded into the follow-up
+  loop.RunUntil(1e-4);
+  Send(0, 1, 2);  // arrives at 1e-4 + arrival, after the cut below
+  loop.RunUntil(5e-5 + arrival + 1e-5);
+  network->SetLinkDown(1, 0, true);
+  loop.RunUntil(1e-4 + arrival + 1e-5);
+  ASSERT_LT(loop.now(), first_ack_lands);
+  ASSERT_EQ(sinks[1]->received.size(), 3u);
+  EXPECT_EQ(network->metrics().Get(metric::kAcksDroppedLink), 1);
+  network->SetLinkDown(1, 0, false);
+  loop.Run();
+
+  EXPECT_EQ(sinks[1]->received.size(), 3u);
+  EXPECT_EQ(network->metrics().Get(metric::kMessagesRetransmitted), 0);
 }
 
 }  // namespace

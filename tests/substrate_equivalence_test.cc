@@ -218,29 +218,12 @@ TEST(SubstrateEquivalenceTest, ParSimMatchesSimTraceByteForByte) {
   }
 }
 
-// Replays a corpus scenario — fig8d's processor crash/restart timeline,
-// scaled down — through the ScenarioRunner on both sim backends and
-// demands identical traces, identical figure series, and identical final
-// counters. This covers what the plain pagerank run cannot: failure
-// injection (kill/recover broadcast to mirrors), drive-boundary action
+// Replays a corpus scenario through the ScenarioRunner on both sim
+// backends and demands identical traces, identical figure series, and
+// identical final counters. This covers what the plain pagerank run
+// cannot: failure injection (broadcast to mirrors), drive-boundary action
 // application, and the bucketed sampling path.
-TEST(SubstrateEquivalenceTest, ParSimMatchesSimOnFig8dScenario) {
-  scenario::Scenario base;
-  std::vector<std::string> errors;
-  const std::string path =
-      std::string(TORNADO_SCENARIO_CORPUS) + "/fig8d_processor_failure.json";
-  ASSERT_TRUE(scenario::LoadScenarioFile(path, &base, &errors))
-      << (errors.empty() ? path : errors[0]);
-
-  // Scale the corpus run down to test size; keep the crash inside the
-  // sampled window and the recovery inside it too.
-  base.workload.tuples = 2600;
-  base.drive.warmup_tuples = 1300;
-  base.drive.settle_seconds = 0.25;
-  base.drive.sample_count = 24;
-  ASSERT_FALSE(base.timeline.empty());
-  base.timeline[0].downtime = 0.25;
-
+void ExpectParSimMatchesSim(const scenario::Scenario& base, uint32_t shards) {
   auto run = [](const scenario::Scenario& s, std::string* trace) {
     scenario::RunOptions options;
     options.after_build = [](TornadoCluster& c) {
@@ -257,7 +240,7 @@ TEST(SubstrateEquivalenceTest, ParSimMatchesSimOnFig8dScenario) {
 
   scenario::Scenario par = base;
   par.backend = SubstrateBackend::kParSim;
-  par.shards = 3;  // 6 hosts -> two per shard, master and ingester split
+  par.shards = shards;
 
   std::string sim_trace;
   std::string par_trace;
@@ -273,6 +256,39 @@ TEST(SubstrateEquivalenceTest, ParSimMatchesSimOnFig8dScenario) {
   EXPECT_EQ(sim_verdict.updates_per_bucket, par_verdict.updates_per_bucket);
   EXPECT_EQ(sim_verdict.counters, par_verdict.counters);
   EXPECT_EQ(sim_verdict.fixed_point_reached, par_verdict.fixed_point_reached);
+}
+
+scenario::Scenario LoadCorpusScenario(const std::string& file) {
+  scenario::Scenario s;
+  std::vector<std::string> errors;
+  const std::string path = std::string(TORNADO_SCENARIO_CORPUS) + "/" + file;
+  EXPECT_TRUE(scenario::LoadScenarioFile(path, &s, &errors))
+      << (errors.empty() ? path : errors[0]);
+  return s;
+}
+
+// fig8d's processor crash/restart timeline, scaled down.
+TEST(SubstrateEquivalenceTest, ParSimMatchesSimOnFig8dScenario) {
+  scenario::Scenario base =
+      LoadCorpusScenario("fig8d_processor_failure.json");
+  // Scale the corpus run down to test size; keep the crash inside the
+  // sampled window and the recovery inside it too.
+  base.workload.tuples = 2600;
+  base.drive.warmup_tuples = 1300;
+  base.drive.settle_seconds = 0.25;
+  base.drive.sample_count = 24;
+  ASSERT_FALSE(base.timeline.empty());
+  base.timeline[0].downtime = 0.25;
+  // 6 hosts -> two per shard, master and ingester split.
+  ExpectParSimMatchesSim(base, /*shards=*/3);
+}
+
+// A one-way cut: processors 3 and 4 keep sending to processor 0 while
+// every ack back to them is lost, so the contents of each channel's
+// pending follow-up ack decide which messages are retransmitted.
+TEST(SubstrateEquivalenceTest, ParSimMatchesSimOnAsymmetricPartition) {
+  ExpectParSimMatchesSim(LoadCorpusScenario("asymmetric_partition.json"),
+                         /*shards=*/3);
 }
 
 // --- Mailbox contention --------------------------------------------------
