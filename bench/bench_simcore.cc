@@ -14,10 +14,12 @@
 //   --check <path>     compare against a previously committed JSON and exit
 //                      non-zero if el_drain_events_per_sec or any kernel_*
 //                      throughput regressed >30%, or if net_events_per_msg
-//                      (a deterministic count) rose at all. Refuses to
-//                      compare when the committed JSON was produced with
-//                      different knobs (smoke size, host core count):
-//                      cross-knob numbers measure nothing.
+//                      (a deterministic count) rose at all. Before any
+//                      work, refuses (exit 1, naming the key) a baseline
+//                      that does not parse, lacks a knob or a gated
+//                      result, or was produced with different knobs
+//                      (smoke size, host core count): cross-knob numbers
+//                      measure nothing.
 //   --no-json          skip writing the JSON (just print the table)
 //   --backend=sim|par_sim|thread|both
 //                      which runtime substrate(s) drive the fig5 e2e run
@@ -43,6 +45,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "kernel/flat_map.h"
 #include "kernel/kernels.h"
@@ -289,13 +292,58 @@ KernelBenchResult BenchKernelAlgo(const std::string& algo, uint64_t reps,
   return r;
 }
 
-// Minimal extractor for the flat JSON this bench writes: finds
-// "<key>": <number> and returns the number (0.0 when absent).
-double JsonNumber(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t pos = text.find(needle);
-  if (pos == std::string::npos) return 0.0;
-  return std::strtod(text.c_str() + pos + needle.size(), nullptr);
+struct Knob {
+  const char* key;
+  double value;
+};
+
+// Reads the --check baseline before any work. Refuses it, with one stderr
+// line per problem naming the key, when the file does not parse, lacks a
+// knob or a gated result, or was produced under different knobs:
+// cross-knob numbers measure nothing.
+bool LoadBaseline(const std::string& path, const std::vector<Knob>& knobs,
+                  const std::vector<std::string>& gated, JsonValue* out) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "FAIL: cannot open baseline %s\n", path.c_str());
+    return false;
+  }
+  std::stringstream buf;
+  buf << in.rdbuf();
+  std::string error;
+  if (!JsonParse(buf.str(), out, &error)) {
+    std::fprintf(stderr, "FAIL: baseline %s does not parse: %s\n",
+                 path.c_str(), error.c_str());
+    return false;
+  }
+  bool ok = true;
+  // The baseline's number at section.key; nullptr, with a FAIL line, when
+  // it is absent (or, for a gated rate, not positive).
+  const auto number = [&](const char* section, const std::string& key,
+                          bool positive) -> const JsonValue* {
+    const JsonValue* table = out->Find(section);
+    const JsonValue* value = table == nullptr
+                                 ? nullptr
+                                 : table->Find(key, JsonValue::Type::kNumber);
+    if (value != nullptr && (!positive || value->number > 0.0)) return value;
+    std::fprintf(stderr, "FAIL: baseline %s has no %s %s.%s\n", path.c_str(),
+                 positive ? "positive" : "numeric", section, key.c_str());
+    ok = false;
+    return nullptr;
+  };
+  for (const Knob& knob : knobs) {
+    const JsonValue* committed = number("knobs", knob.key, false);
+    if (committed != nullptr && committed->number != knob.value) {
+      std::fprintf(stderr,
+                   "FAIL: knob %s mismatch (baseline %g, this run %g); "
+                   "refusing to compare results produced under different "
+                   "knobs — regenerate %s on this host first\n",
+                   knob.key, committed->number, knob.value, path.c_str());
+      ok = false;
+    }
+  }
+  for (const std::string& key : gated) number("results", key, true);
+  return ok;
 }
 
 int Main(int argc, char** argv) {
@@ -356,10 +404,6 @@ int Main(int argc, char** argv) {
   for (uint32_t s = 1; s < max_shards; s <<= 1) shard_curve.push_back(s);
   shard_curve.push_back(max_shards);
 
-  PrintHeader("Simulation-substrate wall-clock throughput", "BENCH_simcore");
-  // Built before the work so its top-level wall_seconds covers the run.
-  BenchJson json("simcore");
-
   const uint64_t kDrainN = smoke ? 400000 : 2000000;
   const uint64_t kChurnN = smoke ? 400000 : 2000000;
   const uint64_t kVerts = smoke ? 400 : 1000;
@@ -370,6 +414,37 @@ int Main(int argc, char** argv) {
   const uint64_t kKernelReps = smoke ? 20000 : 100000;
   const uint64_t kKernelDeltas = smoke ? 500000 : 2000000;
   const size_t kKernelLen = 1024;  // power of two (indexing masks below)
+  const std::vector<std::string> kKernelAlgos = {"pagerank", "sssp", "kmeans",
+                                                 "sgd"};
+
+  // The full knob set is written on every run (and checked by --check):
+  // mixing results produced under different knobs — a smoke-sized run
+  // checked against a full-sized baseline, or a different host profile —
+  // silently compares incomparable numbers.
+  const std::vector<Knob> knob_set = {
+      {"smoke", smoke ? 1.0 : 0.0},
+      {"drain_events", static_cast<double>(kDrainN)},
+      {"net_messages", static_cast<double>(kMsgs)},
+      {"host_cores",
+       static_cast<double>(std::thread::hardware_concurrency())},
+  };
+  // --check gates the drain rate, the deterministic events-per-message
+  // count and every kernel rate.
+  std::vector<std::string> gated = {"el_drain_events_per_sec",
+                                    "net_events_per_msg"};
+  for (const std::string& algo : kKernelAlgos) {
+    gated.push_back("kernel_scatter_ops_per_sec_" + algo);
+    gated.push_back("kernel_deltas_per_sec_" + algo);
+  }
+  JsonValue baseline;
+  if (!check_path.empty() &&
+      !LoadBaseline(check_path, knob_set, gated, &baseline)) {
+    return 1;
+  }
+
+  PrintHeader("Simulation-substrate wall-clock throughput", "BENCH_simcore");
+  // Built before the work so its top-level wall_seconds covers the run.
+  BenchJson json("simcore");
 
   const double el_drain = BenchEventLoopDrain(kDrainN);
   const double el_churn = BenchEventLoopChurn(kChurnN);
@@ -386,8 +461,6 @@ int Main(int argc, char** argv) {
           BenchPagerankE2E(kTuples, SubstrateBackend::kParSim, shards));
     }
   }
-  const std::vector<std::string> kKernelAlgos = {"pagerank", "sssp", "kmeans",
-                                                 "sgd"};
   std::vector<KernelBenchResult> kernels;
   for (const std::string& algo : kKernelAlgos) {
     kernels.push_back(
@@ -426,21 +499,6 @@ int Main(int argc, char** argv) {
                   Table::Num(kernels[i].simd_speedup, 2)});
   }
   table.Print();
-
-  // The full knob set is written on every run (and checked by --check):
-  // mixing results produced under different knobs — a smoke-sized run
-  // checked against a full-sized baseline, or a different host profile —
-  // silently compares incomparable numbers.
-  const struct {
-    const char* key;
-    double value;
-  } knob_set[] = {
-      {"smoke", smoke ? 1.0 : 0.0},
-      {"drain_events", static_cast<double>(kDrainN)},
-      {"net_messages", static_cast<double>(kMsgs)},
-      {"host_cores",
-       static_cast<double>(std::thread::hardware_concurrency())},
-  };
 
   if (write_json) {
     for (const auto& knob : knob_set) json.AddKnob(knob.key, knob.value);
@@ -494,36 +552,10 @@ int Main(int argc, char** argv) {
   }
 
   if (!check_path.empty()) {
-    std::ifstream in(check_path);
-    if (!in) {
-      std::fprintf(stderr, "cannot open baseline %s\n", check_path.c_str());
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
-
-    // Refuse cross-knob comparisons outright.
-    for (const auto& knob : knob_set) {
-      const double committed_knob = JsonNumber(baseline, knob.key);
-      if (committed_knob != knob.value) {
-        std::fprintf(stderr,
-                     "FAIL: knob %s mismatch (baseline %g, this run %g); "
-                     "refusing to compare results produced under different "
-                     "knobs — regenerate %s on this host first\n",
-                     knob.key, committed_knob, knob.value,
-                     check_path.c_str());
-        return 1;
-      }
-    }
-
-    const double committed =
-        JsonNumber(baseline, "el_drain_events_per_sec");
-    if (committed <= 0.0) {
-      std::fprintf(stderr, "baseline %s has no el_drain_events_per_sec\n",
-                   check_path.c_str());
-      return 1;
-    }
+    const auto result = [&](const std::string& key) {
+      return baseline.Find("results")->Find(key)->number;
+    };
+    const double committed = result("el_drain_events_per_sec");
     const double ratio = el_drain / committed;
     std::printf("perf check: %.0f events/sec vs committed %.0f (%.0f%%)\n",
                 el_drain, committed, ratio * 100.0);
@@ -536,18 +568,17 @@ int Main(int argc, char** argv) {
     }
     // Fired events per delivered message is a count of the simulator's
     // own work, identical on every host at the same knobs: any rise is a
-    // regression. The slack only absorbs the JSON's 9-digit rounding.
-    const double committed_epm = JsonNumber(baseline, "net_events_per_msg");
-    if (committed_epm > 0.0) {
-      std::printf("perf check: %.6f events/msg vs committed %.6f\n",
-                  net.events_per_msg, committed_epm);
-      if (net.events_per_msg > committed_epm * (1.0 + 1e-7)) {
-        std::fprintf(stderr,
-                     "FAIL: reliable-channel events per message rose above "
-                     "%s\n",
-                     check_path.c_str());
-        failed = true;
-      }
+    // regression. The slack absorbs a baseline's decimal rounding (the
+    // committed BENCH_simcore.json holds 9 significant digits).
+    const double committed_epm = result("net_events_per_msg");
+    std::printf("perf check: %.6f events/msg vs committed %.6f\n",
+                net.events_per_msg, committed_epm);
+    if (net.events_per_msg > committed_epm * (1.0 + 1e-7)) {
+      std::fprintf(stderr,
+                   "FAIL: reliable-channel events per message rose above "
+                   "%s\n",
+                   check_path.c_str());
+      failed = true;
     }
     for (size_t i = 0; i < kKernelAlgos.size(); ++i) {
       const struct {
@@ -561,8 +592,7 @@ int Main(int argc, char** argv) {
            kernels[i].deltas_per_sec},
       };
       for (const auto& check : checks) {
-        const double committed_k = JsonNumber(baseline, check.key);
-        if (committed_k <= 0.0) continue;  // baseline predates the kernels
+        const double committed_k = result(check.key);
         const double kernel_ratio = check.current / committed_k;
         std::printf("perf check: %s %s %.0f/sec vs committed %.0f (%.0f%%)\n",
                     kKernelAlgos[i].c_str(), check.what, check.current,

@@ -7,7 +7,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+
+#include "common/json.h"
 
 namespace tornado {
 namespace bench {
@@ -21,19 +22,12 @@ double WallSeconds() {
       .count();
 }
 
-std::string JsonNum(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+// Adds each (key, value) of a sorted map to `object`.
+template <typename Map>
+void AddAll(const Map& entries, JsonValue* object) {
+  for (const auto& [key, value] : entries) {
+    object->Add(key, JsonValue::Of(value));
   }
-  return out;
 }
 
 [[noreturn]] void UsageError(const char* program, const std::string& problem) {
@@ -102,50 +96,32 @@ void BenchJson::AddMetrics(const MetricRegistry& metrics) {
 }
 
 std::string BenchJson::ToJson() const {
-  std::ostringstream os;
-  os << "{\"bench\":\"" << JsonEscape(bench_) << "\",\n";
-  os << " \"knobs\":{";
-  bool first = true;
-  for (const auto& [key, value] : string_knobs_) {
-    os << (first ? "" : ",") << "\"" << JsonEscape(key) << "\":\""
-       << JsonEscape(value) << "\"";
-    first = false;
-  }
-  for (const auto& [key, value] : knobs_) {
-    os << (first ? "" : ",") << "\"" << JsonEscape(key)
-       << "\":" << JsonNum(value);
-    first = false;
-  }
-  os << "},\n";
-  os << " \"wall_seconds\":" << JsonNum(WallSeconds() - start_wall_) << ",\n";
-  os << " \"virtual_seconds\":" << JsonNum(virtual_seconds_) << ",\n";
-  os << " \"counters\":{";
-  first = true;
-  for (const auto& [name, value] : counters_) {
-    os << (first ? "" : ",") << "\"" << JsonEscape(name) << "\":" << value;
-    first = false;
-  }
-  os << "},\n";
-  os << " \"histograms\":{";
-  first = true;
+  JsonValue knobs = JsonValue::MakeObject();
+  AddAll(string_knobs_, &knobs);
+  AddAll(knobs_, &knobs);
+  JsonValue counters = JsonValue::MakeObject();
+  AddAll(counters_, &counters);
+  JsonValue histograms = JsonValue::MakeObject();
   for (const auto& [name, row] : histograms_) {
-    os << (first ? "" : ",") << "\"" << JsonEscape(name)
-       << "\":{\"count\":" << row.count << ",\"min\":" << JsonNum(row.min)
-       << ",\"max\":" << JsonNum(row.max) << ",\"mean\":" << JsonNum(row.mean)
-       << ",\"p50\":" << JsonNum(row.p50) << ",\"p95\":" << JsonNum(row.p95)
-       << "}";
-    first = false;
+    histograms.Add(name, JsonValue::MakeObject(
+                             {{"count", JsonValue::Of(row.count)},
+                              {"min", JsonValue::Of(row.min)},
+                              {"max", JsonValue::Of(row.max)},
+                              {"mean", JsonValue::Of(row.mean)},
+                              {"p50", JsonValue::Of(row.p50)},
+                              {"p95", JsonValue::Of(row.p95)}}));
   }
-  os << "},\n";
-  os << " \"results\":{";
-  first = true;
-  for (const auto& [key, value] : results_) {
-    os << (first ? "" : ",") << "\"" << JsonEscape(key)
-       << "\":" << JsonNum(value);
-    first = false;
-  }
-  os << "}}\n";
-  return os.str();
+  JsonValue results = JsonValue::MakeObject();
+  AddAll(results_, &results);
+  return JsonWrite(JsonValue::MakeObject(
+             {{"bench", JsonValue::Of(bench_)},
+              {"knobs", knobs},
+              {"wall_seconds", JsonValue::Of(WallSeconds() - start_wall_)},
+              {"virtual_seconds", JsonValue::Of(virtual_seconds_)},
+              {"counters", counters},
+              {"histograms", histograms},
+              {"results", results}})) +
+         "\n";
 }
 
 bool BenchJson::WriteFile(const std::string& path) const {

@@ -81,7 +81,7 @@ struct BenchArgs {
 BenchArgs ParseBenchArgs(int argc, char** argv);
 
 /// Accumulates one bench run's machine-readable result and writes it as a
-/// single JSON object:
+/// single JSON object (pretty-printed by JsonWrite, common/json.h):
 ///
 ///   {"bench": "...", "knobs": {...}, "wall_seconds": W,
 ///    "virtual_seconds": V, "counters": {...},

@@ -1,13 +1,15 @@
-#include "scenario/json.h"
+#include "common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <cstring>
+
+#include "common/logging.h"
 
 namespace tornado {
-namespace scenario {
 
 const JsonValue* JsonValue::Find(const std::string& key) const {
   if (type != Type::kObject) return nullptr;
@@ -48,9 +50,7 @@ class Parser {
         ++col;
       }
     }
-    std::ostringstream os;
-    os << line << ":" << col << ": " << message;
-    *error_ = os.str();
+    *error_ = std::to_string(line) + ":" + std::to_string(col) + ": " + message;
     return false;
   }
 
@@ -84,9 +84,8 @@ class Parser {
         return ParseString(&out->string_value);
       case 't':
       case 'f':
-        return ParseLiteral(out);
       case 'n':
-        return ParseNull(out);
+        return ParseLiteral(out);
       default:
         return ParseNumber(out);
     }
@@ -167,64 +166,32 @@ class Parser {
       if (c == '"') return true;
       if (c == '\\') {
         if (AtEnd()) return Fail("unterminated escape");
-        char e = text_[pos_++];
-        switch (e) {
-          case '"':
-            out->push_back('"');
-            break;
-          case '\\':
-            out->push_back('\\');
-            break;
-          case '/':
-            out->push_back('/');
-            break;
-          case 'n':
-            out->push_back('\n');
-            break;
-          case 't':
-            out->push_back('\t');
-            break;
-          case 'r':
-            out->push_back('\r');
-            break;
-          case 'b':
-            out->push_back('\b');
-            break;
-          case 'f':
-            out->push_back('\f');
-            break;
-          case 'u': {
-            // Scenario text is ASCII in practice; decode BMP escapes to
-            // UTF-8 without surrogate-pair handling.
-            if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code += static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code += static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code += static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return Fail("invalid \\u escape digit");
-              }
-            }
-            if (code < 0x80) {
-              out->push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default:
-            return Fail("unknown escape sequence");
+        const char e = text_[pos_++];
+        static constexpr char kEscaped[] = "\"\\/bfnrt";
+        static constexpr char kDecoded[] = "\"\\/\b\f\n\r\t";
+        if (const char* hit = e == '\0' ? nullptr : std::strchr(kEscaped, e)) {
+          out->push_back(kDecoded[hit - kEscaped]);
+          continue;
+        }
+        if (e != 'u') return Fail("unknown escape sequence");
+        // The repo's documents are ASCII in practice; decode BMP escapes
+        // to UTF-8 without surrogate-pair handling.
+        unsigned code = 0;
+        const char* hex = text_.data() + pos_;
+        if (pos_ + 4 > text_.size() ||
+            std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4) {
+          return Fail("invalid \\u escape");
+        }
+        pos_ += 4;
+        if (code < 0x80) {
+          out->push_back(static_cast<char>(code));
+        } else if (code < 0x800) {
+          out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        } else {
+          out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
         }
         continue;
       }
@@ -235,26 +202,14 @@ class Parser {
     }
   }
 
+  // true, false or null.
   bool ParseLiteral(JsonValue* out) {
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out->type = JsonValue::Type::kBool;
-      out->bool_value = true;
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out->type = JsonValue::Type::kBool;
-      out->bool_value = false;
-      pos_ += 5;
-      return true;
-    }
-    return Fail("invalid literal");
-  }
-
-  bool ParseNull(JsonValue* out) {
-    if (text_.compare(pos_, 4, "null") == 0) {
-      out->type = JsonValue::Type::kNull;
-      pos_ += 4;
+    for (const std::string_view word : {"true", "false", "null"}) {
+      if (text_.compare(pos_, word.size(), word) != 0) continue;
+      out->type =
+          word == "null" ? JsonValue::Type::kNull : JsonValue::Type::kBool;
+      out->bool_value = word == "true";
+      pos_ += word.size();
       return true;
     }
     return Fail("invalid literal");
@@ -286,40 +241,8 @@ class Parser {
   size_t pos_ = 0;
 };
 
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c) & 0xFF);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendNumber(double v, std::string* out) {
+  TCHECK(std::isfinite(v)) << "JSON cannot represent the number " << v;
   // Integers (the common case: counts, seeds, node indexes) print without
   // an exponent or decimal point so scenario files stay diff-friendly.
   if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
@@ -328,16 +251,11 @@ void AppendNumber(double v, std::string* out) {
     *out += buf;
     return;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Shortest representation that round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char probe[64];
-    std::snprintf(probe, sizeof(probe), "%.*g", precision, v);
-    if (std::strtod(probe, nullptr) == v) {
-      *out += probe;
-      return;
-    }
+  // Shortest representation that round-trips (17 digits always do).
+  char buf[32];
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) break;
   }
   *out += buf;
 }
@@ -356,7 +274,7 @@ void WriteValue(const JsonValue& v, int depth, std::string* out) {
       AppendNumber(v.number, out);
       return;
     case JsonValue::Type::kString:
-      AppendEscaped(v.string_value, out);
+      *out += JsonQuote(v.string_value);
       return;
     case JsonValue::Type::kArray: {
       if (v.array.empty()) {
@@ -381,7 +299,7 @@ void WriteValue(const JsonValue& v, int depth, std::string* out) {
       *out += "{\n";
       for (size_t i = 0; i < v.object.size(); ++i) {
         *out += inner;
-        AppendEscaped(v.object[i].first, out);
+        *out += JsonQuote(v.object[i].first);
         *out += ": ";
         WriteValue(v.object[i].second, depth + 1, out);
         if (i + 1 < v.object.size()) *out += ",";
@@ -408,5 +326,40 @@ std::string JsonWrite(const JsonValue& value) {
   return out;
 }
 
-}  // namespace scenario
+std::string JsonQuote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out.push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(c) & 0xFF);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+  return out;
+}
+
 }  // namespace tornado

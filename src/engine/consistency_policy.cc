@@ -10,7 +10,7 @@ std::unique_ptr<ConsistencyPolicy> MakeConsistencyPolicy(
     case ConsistencyMode::kBoundedAsync:
       return std::make_unique<BoundedAsyncPolicy>(config.delay_bound);
     case ConsistencyMode::kSynchronous:
-      return std::make_unique<SynchronousPolicy>();
+      return std::make_unique<BoundedAsyncPolicy>(1);
     case ConsistencyMode::kFullyAsync:
       return std::make_unique<FullyAsyncPolicy>();
   }

@@ -36,12 +36,14 @@ class ConsistencyPolicy {
   /// keep committing in-window and the per-vertex merge floor discards
   /// their in-transit updates.
   virtual Iteration MergeIteration(Iteration tau) const = 0;
-
-  virtual const char* name() const = 0;
 };
 
 /// Δ = B: the paper's default. Commits are confined to [τ, τ+B−1].
-class BoundedAsyncPolicy : public ConsistencyPolicy {
+/// Δ = 1 (`ConsistencyMode::kSynchronous`) is lock-step BSP: every commit
+/// clamps to τ and skips the prepare round (Table 2's synchronous row —
+/// zero PREPARE messages), and every arriving update buffers until its
+/// iteration terminates.
+class BoundedAsyncPolicy final : public ConsistencyPolicy {
  public:
   explicit BoundedAsyncPolicy(uint64_t delta) : delta_(delta == 0 ? 1 : delta) {}
 
@@ -51,21 +53,10 @@ class BoundedAsyncPolicy : public ConsistencyPolicy {
   Iteration MergeIteration(Iteration tau) const override {
     return tau + delta_;
   }
-  const char* name() const override { return "bounded-async"; }
-
   uint64_t delta() const { return delta_; }
 
  private:
   uint64_t delta_;
-};
-
-/// Δ = 1: lock-step BSP. Every commit clamps to τ and skips the prepare
-/// round (Table 2's synchronous row — zero PREPARE messages); every
-/// arriving update buffers until its iteration terminates.
-class SynchronousPolicy final : public BoundedAsyncPolicy {
- public:
-  SynchronousPolicy() : BoundedAsyncPolicy(1) {}
-  const char* name() const override { return "synchronous"; }
 };
 
 /// Δ = ∞: no window. Updates are never buffered, vertices never stall,
@@ -84,7 +75,6 @@ class FullyAsyncPolicy final : public ConsistencyPolicy {
   Iteration MergeIteration(Iteration tau) const override {
     return tau + kMergeSlack;
   }
-  const char* name() const override { return "fully-async"; }
 };
 
 /// Builds the policy a job's configuration selects.

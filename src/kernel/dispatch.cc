@@ -1,8 +1,7 @@
 // Runtime CPU dispatch for the batch kernels: pick the widest variant the
-// host supports, once, at first use. Overrides (checked in this order):
+// host supports, once, at first use. One override:
 //
 //   TORNADO_KERNEL_VARIANT=scalar|sse2|avx2   pin an exact variant
-//   TORNADO_FORCE_SCALAR=<non-empty, != "0">  pin scalar (CI matrix lane)
 //
 // Because every variant is bit-identical (docs/KERNELS.md), the override
 // is a performance knob, never a correctness one — which is exactly what
@@ -75,23 +74,18 @@ KernelVariant SelectFromEnv() {
     TLOG_WARN << "TORNADO_KERNEL_VARIANT=" << pin
                    << " unknown or unsupported on this host; auto-selecting";
   }
-  const char* force = std::getenv("TORNADO_FORCE_SCALAR");
-  if (force != nullptr && force[0] != '\0' && std::strcmp(force, "0") != 0) {
-    return KernelVariant::kScalar;
-  }
   if (HostSupports(KernelVariant::kAvx2)) return KernelVariant::kAvx2;
   if (HostSupports(KernelVariant::kSse2)) return KernelVariant::kSse2;
   return KernelVariant::kScalar;
 }
 
+// The one selection slot, so the environment is read (and a bad value
+// warned about) once. It holds the table rather than the variant because
+// Kernels() runs per call of the hot loops (one per 20-wide KMeans
+// distance); ActiveKernelVariant() maps the table back.
 std::atomic<const KernelOps*>& ActiveTable() {
   static std::atomic<const KernelOps*> active{TableFor(SelectFromEnv())};
   return active;
-}
-
-std::atomic<KernelVariant>& ActiveVariantSlot() {
-  static std::atomic<KernelVariant> v{SelectFromEnv()};
-  return v;
 }
 
 }  // namespace
@@ -111,7 +105,11 @@ const char* KernelVariantName(KernelVariant v) {
 const KernelOps& Kernels() { return *ActiveTable().load(std::memory_order_acquire); }
 
 KernelVariant ActiveKernelVariant() {
-  return ActiveVariantSlot().load(std::memory_order_acquire);
+  const KernelOps* active = ActiveTable().load(std::memory_order_acquire);
+  for (const KernelVariant v : SupportedKernelVariants()) {
+    if (TableFor(v) == active) return v;
+  }
+  return KernelVariant::kScalar;
 }
 
 std::vector<KernelVariant> SupportedKernelVariants() {
@@ -124,7 +122,6 @@ std::vector<KernelVariant> SupportedKernelVariants() {
 bool SetKernelVariant(KernelVariant v) {
   if (!HostSupports(v)) return false;
   ActiveTable().store(TableFor(v), std::memory_order_release);
-  ActiveVariantSlot().store(v, std::memory_order_release);
   return true;
 }
 

@@ -50,8 +50,7 @@ enum class KernelVariant : uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 const char* KernelVariantName(KernelVariant v);
 
 /// The active kernel table. Selected once at first use: highest CPUID
-/// level the host supports, unless TORNADO_FORCE_SCALAR is set (any
-/// non-empty value other than "0") or TORNADO_KERNEL_VARIANT names
+/// level the host supports, unless TORNADO_KERNEL_VARIANT names
 /// scalar/sse2/avx2 explicitly. Cheap enough to call per batch.
 const KernelOps& Kernels();
 

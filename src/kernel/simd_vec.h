@@ -12,7 +12,7 @@
 // including this header, so every level gets its own namespace and there
 // is exactly one definition of each DVec8 per program. The active variant
 // is picked once at startup by kernel/dispatch.cc (CPUID, with the
-// TORNADO_FORCE_SCALAR override).
+// TORNADO_KERNEL_VARIANT override).
 //
 // Determinism contract (docs/KERNELS.md): all three levels perform the
 // same IEEE-754 operations on the same lane assignment, so any

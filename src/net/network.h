@@ -18,10 +18,6 @@
 
 namespace tornado {
 
-/// Transitional alias: the observer interface moved to the substrate seam
-/// (runtime/substrate.h) when the transport became pluggable.
-using NetworkObserver = TransportObserver;
-
 /// A cross-shard transport event, produced by a sharded Network instance
 /// when the receiving endpoint lives on another shard's event loop
 /// (docs/PARSIM.md). The parallel backend collects these at window
@@ -352,7 +348,7 @@ class Network final : public Transport {
   std::vector<CrossShardPacket> outbox_;
   uint64_t next_emit_seq_ = 0;
   double handler_extra_cost_ = 0.0;
-  NetworkObserver* observer_ = nullptr;
+  TransportObserver* observer_ = nullptr;
 };
 
 }  // namespace tornado

@@ -6,8 +6,8 @@
 #include <fstream>
 #include <utility>
 
+#include "common/json.h"
 #include "runtime/substrate.h"
-#include "scenario/json.h"
 #include "sim/cost_model.h"
 
 namespace tornado {

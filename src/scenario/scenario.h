@@ -6,9 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "core/config.h"
 #include "net/payload.h"
-#include "scenario/json.h"
 
 namespace tornado {
 namespace scenario {

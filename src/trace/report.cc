@@ -2,45 +2,32 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <sstream>
 #include <utility>
 
+#include "common/json.h"
+
 namespace tornado {
 
 namespace {
 
-// --- Minimal field extraction over the writer's one-event-per-line JSON.
-// The recorder controls the format (no nesting beyond "args", stable key
-// order), so targeted string scans beat a general JSON parser here.
+constexpr const char* kTraceHeader = "{\"traceEvents\":[";
+constexpr const char* kTraceFooter = "]}";
 
-bool ExtractString(const std::string& line, const std::string& key,
-                   std::string* out) {
-  const std::string needle = "\"" + key + "\":\"";
-  const size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const size_t begin = pos + needle.size();
-  const size_t end = line.find('"', begin);
-  if (end == std::string::npos) return false;
-  *out = line.substr(begin, end - begin);
-  return true;
+constexpr JsonValue::Type kNumber = JsonValue::Type::kNumber;
+constexpr JsonValue::Type kString = JsonValue::Type::kString;
+
+// An optional numeric field of `object`; 0 when absent.
+double Number(const JsonValue* object, const char* key) {
+  const JsonValue* value =
+      object == nullptr ? nullptr : object->Find(key, kNumber);
+  return value == nullptr ? 0.0 : value->number;
 }
 
-bool ExtractNumber(const std::string& line, const std::string& key,
-                   double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(line.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
-uint64_t ExtractU64(const std::string& line, const std::string& key) {
-  double value = 0.0;
-  ExtractNumber(line, key, &value);
-  return static_cast<uint64_t>(value);
+uint64_t Arg(const JsonValue& event, const char* key) {
+  return static_cast<uint64_t>(Number(event.Find("args"), key));
 }
 
 std::string Seconds(double s) {
@@ -56,33 +43,57 @@ struct CommitPoint {
 
 }  // namespace
 
-TraceSummary SummarizeChromeTrace(std::istream& in) {
+bool SummarizeChromeTrace(std::istream& in, TraceSummary* out,
+                          std::string* error) {
   TraceSummary summary;
   std::map<std::pair<uint64_t, uint64_t>, TraceSummary::StallEntry> stalls;
   std::vector<CommitPoint> commits;
   bool first_event = true;
 
+  size_t line_no = 1;
+  const auto fail = [&](const std::string& message) {
+    *error = "line " + std::to_string(line_no) + ": " + message;
+    return false;
+  };
   std::string line;
+  std::getline(in, line);
+  if (line != kTraceHeader) {
+    return fail(std::string("expected the ") + kTraceHeader + " header");
+  }
+  bool footer = false;
   while (std::getline(in, line)) {
-    std::string ph, name;
-    if (!ExtractString(line, "ph", &ph) || ph == "M") continue;
-    if (!ExtractString(line, "name", &name)) continue;
-    double ts_us = 0.0;
-    if (!ExtractNumber(line, "ts", &ts_us)) continue;
-    const double ts = ts_us / 1e6;
+    ++line_no;
+    if (line.empty()) continue;  // the event list of an empty trace
+    if (footer) return fail("content after the ]} footer");
+    if (line == kTraceFooter) {
+      footer = true;
+      continue;
+    }
+    if (line.back() == ',') line.pop_back();
+    JsonValue event;
+    std::string parse_error;
+    if (!JsonParse(line, &event, &parse_error)) return fail(parse_error);
+    const JsonValue* name_value = event.Find("name", kString);
+    const JsonValue* ph_value = event.Find("ph", kString);
+    const JsonValue* ts_value = event.Find("ts", kNumber);
+    if (name_value == nullptr) return fail("event has no string \"name\"");
+    if (ph_value == nullptr) return fail("event has no string \"ph\"");
+    const std::string& name = name_value->string_value;
+    const std::string& ph = ph_value->string_value;
+    if (ph == "M") continue;  // track-name metadata carries no time
+    if (ts_value == nullptr) return fail("event has no numeric \"ts\"");
+    const double ts = ts_value->number / 1e6;
 
     ++summary.total_events;
     if (first_event || ts < summary.first_ts) summary.first_ts = ts;
     if (first_event || ts > summary.last_ts) summary.last_ts = ts;
     first_event = false;
 
-    std::string cat;
-    ExtractString(line, "cat", &cat);
+    const JsonValue* cat = event.Find("cat", kString);
 
     if (ph == "X") {
-      double dur_us = 0.0;
-      ExtractNumber(line, "dur", &dur_us);
-      if (cat == "net") {
+      const double dur_us = Number(&event, "dur");
+      if (cat != nullptr && cat->string_value == "net") {
         ++summary.messages[name];
       } else {
         TraceSummary::PhaseStat& stat = summary.phases[name];
@@ -90,26 +101,27 @@ TraceSummary SummarizeChromeTrace(std::istream& in) {
         stat.total_seconds += dur_us / 1e6;
       }
       if (name == "blocked_at_bound") {
-        const uint64_t loop = ExtractU64(line, "loop");
-        const uint64_t vertex = ExtractU64(line, "vertex");
+        const uint64_t loop = Arg(event, "loop");
+        const uint64_t vertex = Arg(event, "vertex");
         TraceSummary::StallEntry& entry = stalls[{loop, vertex}];
         entry.loop = loop;
         entry.vertex = vertex;
         ++entry.intervals;
-        entry.updates += ExtractU64(line, "updates");
+        entry.updates += Arg(event, "updates");
         entry.total_seconds += dur_us / 1e6;
       }
     } else if (ph == "i") {
       ++summary.instants[name];
       if (name == "commit") {
-        commits.push_back(CommitPoint{ts, ExtractU64(line, "tid")});
+        commits.push_back(
+            CommitPoint{ts, static_cast<uint64_t>(Number(&event, "tid"))});
       } else if (name == "node_killed") {
         TraceSummary::RecoveryEvent ev;
-        ev.node = ExtractU64(line, "node");
+        ev.node = Arg(event, "node");
         ev.killed_ts = ts;
         summary.recoveries.push_back(ev);
       } else if (name == "node_recovered") {
-        const uint64_t node = ExtractU64(line, "node");
+        const uint64_t node = Arg(event, "node");
         // Close the most recent open kill of this node.
         for (auto it = summary.recoveries.rbegin();
              it != summary.recoveries.rend(); ++it) {
@@ -121,6 +133,8 @@ TraceSummary SummarizeChromeTrace(std::istream& in) {
       }
     }
   }
+
+  if (!footer) return fail("truncated trace: no ]} footer");
 
   // Recovery gap: prefer the first commit on the failed node's own track
   // (the recovered processor resuming work); when it never commits again
@@ -151,14 +165,18 @@ TraceSummary SummarizeChromeTrace(std::istream& in) {
               if (a.loop != b.loop) return a.loop < b.loop;
               return a.vertex < b.vertex;
             });
-  return summary;
+  *out = std::move(summary);
+  return true;
 }
 
-bool SummarizeChromeTraceFile(const std::string& path, TraceSummary* out) {
+bool SummarizeChromeTraceFile(const std::string& path, TraceSummary* out,
+                              std::string* error) {
   std::ifstream in(path);
-  if (!in.is_open()) return false;
-  *out = SummarizeChromeTrace(in);
-  return true;
+  if (!in.is_open()) {
+    *error = "cannot open the file";
+    return false;
+  }
+  return SummarizeChromeTrace(in, out, error);
 }
 
 std::string FormatSummary(const TraceSummary& summary, size_t top_stalls) {

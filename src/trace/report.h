@@ -54,13 +54,19 @@ struct TraceSummary {
   std::vector<RecoveryEvent> recoveries;          // in kill order
 };
 
-/// Parses a TraceRecorder Chrome trace (one event per line, as
-/// WriteChromeTrace emits it) and aggregates it. Unknown lines are
-/// skipped, so a hand-edited trace degrades gracefully.
-TraceSummary SummarizeChromeTrace(std::istream& in);
+/// Parses a TraceRecorder Chrome trace and aggregates it into `*out`.
+/// WriteChromeTrace writes a `{"traceEvents":[` header line, one JSON
+/// event per line (each but the last ending in a comma) and a `]}` footer
+/// line; each event line is parsed with JsonParse. Returns false, with
+/// `*error` naming the 1-based line, when the header or footer is missing,
+/// a line does not parse, or an event's "name", "ph" or "ts" is missing or
+/// has the wrong type.
+bool SummarizeChromeTrace(std::istream& in, TraceSummary* out,
+                          std::string* error);
 
-/// Same, from a file. Returns false when the file cannot be read.
-bool SummarizeChromeTraceFile(const std::string& path, TraceSummary* out);
+/// Same, from a file; also false when the file cannot be read.
+bool SummarizeChromeTraceFile(const std::string& path, TraceSummary* out,
+                              std::string* error);
 
 /// Human-readable report: per-phase time breakdown, top stall causes,
 /// recovery gaps around injected failures.

@@ -11,6 +11,7 @@
 #include <set>
 
 #include "common/histogram.h"
+#include "common/json.h"
 #include "common/lamport_clock.h"
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -388,6 +389,115 @@ TEST(MetricsTest, IncrementAndRead) {
   EXPECT_EQ(m.Get("x"), 5);
   m.Reset();
   EXPECT_EQ(m.Get("x"), 0);
+}
+
+// ---------------------------------------------------------------------------
+// JSON (common/json.h): the one reader/writer for scenarios, bench results,
+// lint reports and trace summaries.
+// ---------------------------------------------------------------------------
+
+JsonValue ParseOrDie(const std::string& text) {
+  JsonValue value;
+  std::string error;
+  EXPECT_TRUE(JsonParse(text, &value, &error)) << error;
+  return value;
+}
+
+TEST(JsonTest, WriteParseRoundTripKeepsOrderAndTypes) {
+  JsonValue root = JsonValue::MakeObject();
+  root.Add("zeta", JsonValue::Of("last-added first"));
+  root.Add("count", JsonValue::Of(uint64_t{42}));
+  root.Add("flag", JsonValue::Of(false));
+  root.Add("nothing", JsonValue());
+  JsonValue& list = root.Add("list", JsonValue::MakeArray());
+  list.array.push_back(JsonValue::Of(-3));
+  list.array.push_back(JsonValue::MakeObject());
+  const std::string text = JsonWrite(root);
+  EXPECT_EQ(text,
+            "{\n"
+            "  \"zeta\": \"last-added first\",\n"
+            "  \"count\": 42,\n"
+            "  \"flag\": false,\n"
+            "  \"nothing\": null,\n"
+            "  \"list\": [\n"
+            "    -3,\n"
+            "    {}\n"
+            "  ]\n"
+            "}");
+  EXPECT_EQ(JsonWrite(ParseOrDie(text)), text);
+  const JsonValue parsed = ParseOrDie(text);
+  ASSERT_NE(parsed.Find("zeta"), nullptr);
+  EXPECT_TRUE(parsed.Find("zeta")->is_string());
+  EXPECT_EQ(parsed.Find("missing"), nullptr);
+}
+
+// Doubles print in the fewest digits that parse back to the same bits;
+// integral values print without a decimal point.
+TEST(JsonTest, NumbersUseShortestRoundTripForm) {
+  const struct {
+    double value;
+    const char* text;
+  } kCases[] = {
+      {0.1, "0.1"},
+      {1.0 / 3.0, "0.3333333333333333"},
+      {1e-7, "1e-07"},
+      {123456789.0, "123456789"},
+      {-2.5, "-2.5"},
+      {9007199254740993.0, "9007199254740992"},
+      {1e300, "1e+300"},
+      {5e-324, "5e-324"},
+  };
+  for (const auto& c : kCases) {
+    const std::string text = JsonWrite(JsonValue::Of(c.value));
+    EXPECT_EQ(text, c.text) << c.value;
+    const JsonValue back = ParseOrDie(text);
+    EXPECT_EQ(std::bit_cast<uint64_t>(back.number),
+              std::bit_cast<uint64_t>(c.value))
+        << text;
+  }
+}
+
+TEST(JsonTest, ControlCharactersEscapeAsU00XX) {
+  const std::string raw = std::string("q\"b\\n\nt\tr\r") + '\x01' + '\x1f' +
+                          '\x7f' + "\xc3\xa9";
+  const std::string quoted = JsonQuote(raw);
+  EXPECT_EQ(quoted,
+            "\"q\\\"b\\\\n\\nt\\tr\\r\\u0001\\u001f\x7f\xc3\xa9\"");
+  EXPECT_EQ(JsonWrite(JsonValue::Of(raw)), quoted);
+  EXPECT_EQ(ParseOrDie(quoted).string_value, raw);
+  EXPECT_EQ(ParseOrDie("\"\\u00e9\\/\\b\\f\"").string_value, "\xc3\xa9/\b\f");
+}
+
+TEST(JsonTest, ParseErrorsNameLineAndColumn) {
+  const struct {
+    const char* text;
+    const char* error;
+  } kCases[] = {
+      {"{\n  \"a\": 1,\n  \"b\" 2\n}", "3:7: expected ':' after object key"},
+      {"[1, 2,]", "1:7: expected value"},
+      {"{\"a\": 1, \"a\": 2}", "1:16: duplicate object key \"a\""},
+      {"{\"a\": nan}", "1:7: invalid literal"},
+      {"[1e999]", "1:2: invalid number \"1e999\""},
+      {"\"tab\there\"", "1:6: unescaped control character in string"},
+      {"{} {}", "1:4: trailing content after document"},
+      {"", "1:1: unexpected end of input"},
+  };
+  for (const auto& c : kCases) {
+    JsonValue value;
+    std::string error;
+    EXPECT_FALSE(JsonParse(c.text, &value, &error)) << c.text;
+    EXPECT_EQ(error, c.error) << c.text;
+  }
+}
+
+// JSON has no NaN or Inf: the writer refuses to emit text its own parser
+// (and every other JSON reader) would reject.
+TEST(JsonDeathTest, WriterRejectsNonFiniteNumbers) {
+  JsonValue root = JsonValue::MakeObject();
+  root.Add("x", JsonValue::Of(std::nan("")));
+  EXPECT_DEATH(JsonWrite(root), "JSON cannot represent");
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(JsonWrite(JsonValue::Of(inf)), "JSON cannot represent");
 }
 
 }  // namespace

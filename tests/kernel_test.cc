@@ -247,14 +247,6 @@ TEST(KernelDispatchTest, EverySupportedVariantIsBitIdentical) {
   kernel::ResetKernelVariant();
 }
 
-TEST(KernelDispatchTest, ForceScalarEnvOverride) {
-  ::setenv("TORNADO_FORCE_SCALAR", "1", 1);
-  kernel::ResetKernelVariant();
-  EXPECT_EQ(kernel::ActiveKernelVariant(), kernel::KernelVariant::kScalar);
-  ::unsetenv("TORNADO_FORCE_SCALAR");
-  kernel::ResetKernelVariant();
-}
-
 TEST(KernelDispatchTest, VariantEnvOverrideWinsAndFallsBackOnGarbage) {
   ::setenv("TORNADO_KERNEL_VARIANT", "scalar", 1);
   kernel::ResetKernelVariant();

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <string>
 
+#include "common/json.h"
 #include "tests/test_util.h"
 
 namespace tornado {
@@ -45,22 +46,47 @@ std::string Fixtures(const std::string& sub = "") {
   return path;
 }
 
-// Count of JSON finding lines naming `rule` with the given suppression
-// state (the --json writer emits one finding per line).
+// A --json or --sarif report, parsed; output that does not parse fails
+// the calling test.
+JsonValue ParseReport(const std::string& output) {
+  JsonValue report;
+  std::string error;
+  EXPECT_TRUE(JsonParse(output, &report, &error)) << error << "\n" << output;
+  return report;
+}
+
+// A string member of `object`, or "" when absent.
+std::string StringField(const JsonValue& object, const char* key) {
+  const JsonValue* value = object.Find(key, JsonValue::Type::kString);
+  return value != nullptr ? value->string_value : "";
+}
+
+// Count of --json findings naming `rule` with the given suppression state
+// (-1, failing the test, when the report has no findings array).
 int CountFindings(const std::string& json, const std::string& rule,
                   bool suppressed) {
-  const std::string rule_key = "\"rule\": \"" + rule + "\"";
-  const std::string supp_key =
-      std::string("\"suppressed\": ") + (suppressed ? "true" : "false");
+  const JsonValue report = ParseReport(json);
+  const JsonValue* findings = report.Find("findings");
+  if (findings == nullptr || !findings->is_array()) {
+    ADD_FAILURE() << "no findings array:\n" << json;
+    return -1;
+  }
   int count = 0;
-  size_t pos = 0;
-  while ((pos = json.find(rule_key, pos)) != std::string::npos) {
-    const size_t eol = json.find('\n', pos);
-    const std::string line = json.substr(pos, eol - pos);
-    if (line.find(supp_key) != std::string::npos) ++count;
-    pos += rule_key.size();
+  for (const JsonValue& finding : findings->array) {
+    const JsonValue* supp = finding.Find("suppressed", JsonValue::Type::kBool);
+    if (StringField(finding, "rule") == rule && supp != nullptr &&
+        supp->bool_value == suppressed) {
+      ++count;
+    }
   }
   return count;
+}
+
+// A numeric top-level member of a --json report (-1 when absent).
+double ReportNumber(const std::string& json, const char* key) {
+  const JsonValue report = ParseReport(json);
+  const JsonValue* value = report.Find(key, JsonValue::Type::kNumber);
+  return value != nullptr ? value->number : -1.0;
 }
 
 TEST(LintTest, EveryRuleFiresOnItsFixture) {
@@ -133,10 +159,15 @@ TEST(LintTest, AtomicIsAWarningAndDoesNotGate) {
   EXPECT_EQ(run.exit_code, 0) << run.output;
   EXPECT_GE(CountFindings(run.output, "CON-001", /*suppressed=*/false), 1)
       << run.output;
-  EXPECT_NE(run.output.find("\"severity\": \"warning\""), std::string::npos)
-      << run.output;
-  EXPECT_NE(run.output.find("\"unsuppressed_errors\": 0"),
-            std::string::npos)
+  const JsonValue report = ParseReport(run.output);
+  const JsonValue* findings = report.Find("findings");
+  ASSERT_TRUE(findings != nullptr && findings->is_array()) << run.output;
+  bool warning = false;
+  for (const JsonValue& finding : findings->array) {
+    warning = warning || StringField(finding, "severity") == "warning";
+  }
+  EXPECT_TRUE(warning) << run.output;
+  EXPECT_EQ(ReportNumber(run.output, "unsuppressed_errors"), 0.0)
       << run.output;
 }
 
@@ -192,8 +223,7 @@ TEST(LintTest, NolintWithoutReasonDoesNotSuppress) {
 TEST(LintTest, CleanFixtureScansClean) {
   const LintRun run = RunLint("--json " + Fixtures("clean"));
   EXPECT_EQ(run.exit_code, 0) << run.output;
-  EXPECT_NE(run.output.find("\"unsuppressed\": 0"), std::string::npos)
-      << run.output;
+  EXPECT_EQ(ReportNumber(run.output, "unsuppressed"), 0.0) << run.output;
 }
 
 TEST(LintTest, FixHintsNameTheRemedy) {
@@ -221,16 +251,30 @@ TEST(LintTest, FixHintsPrintTheSuppressionSyntax) {
 TEST(LintTest, SarifOutputHasRulesAndResults) {
   const LintRun run = RunLint("--sarif " + Fixtures("bad"));
   ASSERT_EQ(run.exit_code, 1) << run.output;
-  EXPECT_NE(run.output.find("\"version\": \"2.1.0\""), std::string::npos)
+  const JsonValue sarif = ParseReport(run.output);
+  EXPECT_EQ(StringField(sarif, "version"), "2.1.0") << run.output;
+  const JsonValue* runs = sarif.Find("runs");
+  ASSERT_TRUE(runs != nullptr && runs->is_array() && runs->array.size() == 1)
       << run.output;
-  EXPECT_NE(run.output.find("\"name\": \"tornado_lint\""), std::string::npos)
-      << run.output;
+  const JsonValue* tool = runs->array[0].Find("tool");
+  const JsonValue* driver = tool == nullptr ? nullptr : tool->Find("driver");
+  ASSERT_NE(driver, nullptr) << run.output;
+  EXPECT_EQ(StringField(*driver, "name"), "tornado_lint") << run.output;
+  const JsonValue* rules = driver->Find("rules");
+  const JsonValue* results = runs->array[0].Find("results");
+  ASSERT_TRUE(rules != nullptr && rules->is_array()) << run.output;
+  ASSERT_TRUE(results != nullptr && results->is_array()) << run.output;
+  const auto lists = [](const JsonValue& array, const char* key,
+                        const std::string& id) {
+    for (const JsonValue& entry : array.array) {
+      if (StringField(entry, key) == id) return true;
+    }
+    return false;
+  };
   for (const char* rule : {"DET-001", "CON-001", "CON-002", "CON-003"}) {
-    EXPECT_NE(run.output.find("{\"id\": \"" + std::string(rule) + "\""),
-              std::string::npos)
+    EXPECT_TRUE(lists(*rules, "id", rule))
         << rule << " missing from driver.rules:\n" << run.output;
-    EXPECT_NE(run.output.find("{\"ruleId\": \"" + std::string(rule) + "\""),
-              std::string::npos)
+    EXPECT_TRUE(lists(*results, "ruleId", rule))
         << rule << " missing from results:\n" << run.output;
   }
   // Suppressed findings stay out of the artifact.

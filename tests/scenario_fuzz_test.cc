@@ -11,9 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "runtime/substrate.h"
 #include "scenario/fuzzer.h"
-#include "scenario/json.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 #include "tests/test_util.h"

@@ -63,7 +63,9 @@ TEST(TraceRecoveryTest, ReportExtractsAPositiveRecoveryGap) {
   ASSERT_EQ(json.substr(json.size() - 3), "]}\n");
 
   std::istringstream in(json);
-  const TraceSummary summary = SummarizeChromeTrace(in);
+  TraceSummary summary;
+  std::string error;
+  ASSERT_TRUE(SummarizeChromeTrace(in, &summary, &error)) << error;
   EXPECT_GT(summary.total_events, 0u);
   EXPECT_EQ(summary.instants.count("node_killed"), 1u);
   EXPECT_GT(summary.instants.count("recovery_rollback"), 0u);

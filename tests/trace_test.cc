@@ -193,7 +193,9 @@ TEST(TraceReportTest, AttributesStallsAndComputesRecoveryGap) {
   std::ostringstream os;
   recorder.WriteChromeTrace(os);
   std::istringstream in(os.str());
-  const TraceSummary summary = SummarizeChromeTrace(in);
+  TraceSummary summary;
+  std::string error;
+  ASSERT_TRUE(SummarizeChromeTrace(in, &summary, &error)) << error;
 
   EXPECT_EQ(summary.instants.at("commit"), 3u);
   ASSERT_EQ(summary.phases.count("blocked_at_bound"), 1u);
@@ -242,11 +244,81 @@ TEST(TraceReportTest, MasterFailureFallsBackToClusterWideCommit) {
   std::ostringstream os;
   recorder.WriteChromeTrace(os);
   std::istringstream in(os.str());
-  const TraceSummary summary = SummarizeChromeTrace(in);
+  TraceSummary summary;
+  std::string error;
+  ASSERT_TRUE(SummarizeChromeTrace(in, &summary, &error)) << error;
   ASSERT_EQ(summary.recoveries.size(), 1u);
   EXPECT_TRUE(summary.recoveries[0].complete());
   EXPECT_FALSE(summary.recoveries[0].on_failed_node);
   EXPECT_NEAR(summary.recoveries[0].gap_seconds(), 1.3, 1e-6);
+}
+
+// The report refuses a trace it cannot read in full and names the line:
+// each case would otherwise be counted, or skipped, without a word.
+TEST(TraceReportTest, MalformedTraceFailsWithItsLineNumber) {
+  const std::string header = "{\"traceEvents\":[\n";
+  const std::string commit =
+      "{\"name\":\"commit\",\"cat\":\"protocol\",\"ph\":\"i\","
+      "\"ts\":1000.000,\"s\":\"t\",\"pid\":0,\"tid\":0,\"args\":{}}";
+  const struct {
+    const char* what;
+    std::string trace;
+    const char* expected;
+  } kCases[] = {
+      {"truncated event", header + commit + ",\n{\"name\":\"com\n]}\n",
+       "line 3: "},
+      {"string ts",
+       header + "{\"name\":\"a\",\"ph\":\"i\",\"ts\":\"oops\"}\n]}\n",
+       "line 2: event has no numeric \"ts\""},
+      {"missing name", header + "{\"ph\":\"i\",\"ts\":1}\n]}\n",
+       "line 2: event has no string \"name\""},
+      {"numeric ph", header + "{\"name\":\"a\",\"ph\":7,\"ts\":1}\n]}\n",
+       "line 2: event has no string \"ph\""},
+      {"no header", commit + "\n]}\n", "line 1: expected the"},
+      {"no footer", header + commit + ",\n" + commit + "\n",
+       "line 3: truncated trace"},
+      {"after footer", header + commit + "\n]}\n" + commit + "\n",
+       "line 4: content after"},
+  };
+  for (const auto& c : kCases) {
+    std::istringstream in(c.trace);
+    TraceSummary summary;
+    std::string error;
+    EXPECT_FALSE(SummarizeChromeTrace(in, &summary, &error)) << c.what;
+    EXPECT_EQ(error.rfind(c.expected, 0), 0u)
+        << c.what << ": \"" << error << "\"";
+  }
+
+  // The well-formed one-event trace is accepted.
+  std::istringstream in(header + commit + "\n]}\n");
+  TraceSummary summary;
+  std::string error;
+  ASSERT_TRUE(SummarizeChromeTrace(in, &summary, &error)) << error;
+  EXPECT_EQ(summary.total_events, 1u);
+}
+
+// Track names are the recorder's dynamic strings: quotes, backslashes and
+// control characters must come back through the report's JSON parser.
+TEST(TraceReportTest, EscapedTrackNamesParse) {
+  EventLoop loop;
+  SimScheduler sched(&loop);
+  TraceRecorder recorder(&sched);
+  recorder.SetTrackName(0, "say \"hi\"\\\n\r\x01");
+  loop.Schedule(1.0, [&]() {
+    recorder.Instant(trace_cat::kProtocol, "commit", 0, {{"loop", 0}});
+  });
+  loop.Run();
+
+  std::ostringstream os;
+  recorder.WriteChromeTrace(os);
+  EXPECT_NE(os.str().find("\"say \\\"hi\\\"\\\\\\n\\r\\u0001\""),
+            std::string::npos)
+      << os.str();
+  std::istringstream in(os.str());
+  TraceSummary summary;
+  std::string error;
+  ASSERT_TRUE(SummarizeChromeTrace(in, &summary, &error)) << error;
+  EXPECT_EQ(summary.instants.at("commit"), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -288,7 +360,9 @@ TEST(ClusterTracingTest, EnableTracingCapturesProtocolAndTransport) {
   std::ostringstream os;
   recorder->WriteChromeTrace(os);
   std::istringstream in(os.str());
-  const TraceSummary summary = SummarizeChromeTrace(in);
+  TraceSummary summary;
+  std::string error;
+  ASSERT_TRUE(SummarizeChromeTrace(in, &summary, &error)) << error;
 
   // The protocol phases, master decisions and transport all show up.
   EXPECT_GT(summary.instants.count("gather_input"), 0u);

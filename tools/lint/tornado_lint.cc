@@ -52,7 +52,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -62,7 +61,11 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
+
 namespace fs = std::filesystem;
+using tornado::JsonValue;
+using tornado::JsonWrite;
 
 namespace {
 
@@ -926,66 +929,70 @@ void CollectPaths(const std::string& root, std::vector<std::string>* out) {
 // rule table as the tool's driver metadata, one result per unsuppressed
 // finding. Suppressed findings are omitted — their NOLINT reason is the
 // repo-side record.
-void PrintSarif(const std::vector<Finding>& findings, std::ostream& out);
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-void PrintSarif(const std::vector<Finding>& findings, std::ostream& out) {
-  out << "{\n"
-      << "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-      << "  \"version\": \"2.1.0\",\n"
-      << "  \"runs\": [\n"
-      << "    {\n"
-      << "      \"tool\": {\n"
-      << "        \"driver\": {\n"
-      << "          \"name\": \"tornado_lint\",\n"
-      << "          \"informationUri\": \"docs/CHECKS.md\",\n"
-      << "          \"rules\": [";
-  bool first = true;
+JsonValue SarifReport(const std::vector<Finding>& findings) {
+  const auto text = [](const std::string& t) {
+    return JsonValue::MakeObject({{"text", JsonValue::Of(t)}});
+  };
+  JsonValue rules = JsonValue::MakeArray();
   for (const RuleInfo& r : kRules) {
-    out << (first ? "\n" : ",\n");
-    first = false;
-    out << "            {\"id\": \"" << r.id
-        << "\", \"shortDescription\": {\"text\": \"" << JsonEscape(r.description)
-        << "\"}, \"defaultConfiguration\": {\"level\": \"" << r.severity
-        << "\"}, \"help\": {\"text\": \"" << JsonEscape(r.hint) << "\"}}";
+    rules.array.push_back(JsonValue::MakeObject(
+        {{"id", JsonValue::Of(r.id)},
+         {"shortDescription", text(r.description)},
+         {"defaultConfiguration",
+          JsonValue::MakeObject({{"level", JsonValue::Of(r.severity)}})},
+         {"help", text(r.hint)}}));
   }
-  out << "\n          ]\n"
-      << "        }\n"
-      << "      },\n"
-      << "      \"results\": [";
-  first = true;
+  JsonValue results = JsonValue::MakeArray();
   for (const Finding& f : findings) {
     if (f.suppressed) continue;
-    out << (first ? "\n" : ",\n");
-    first = false;
-    out << "        {\"ruleId\": \"" << f.rule << "\", \"level\": \""
-        << f.severity << "\", \"message\": {\"text\": \""
-        << JsonEscape(f.message) << "\"}, \"locations\": [{"
-        << "\"physicalLocation\": {\"artifactLocation\": {\"uri\": \""
-        << JsonEscape(f.file) << "\"}, \"region\": {\"startLine\": "
-        << f.line << "}}}]}";
+    const JsonValue physical = JsonValue::MakeObject(
+        {{"artifactLocation",
+          JsonValue::MakeObject({{"uri", JsonValue::Of(f.file)}})},
+         {"region",
+          JsonValue::MakeObject({{"startLine", JsonValue::Of(f.line)}})}});
+    results.array.push_back(JsonValue::MakeObject(
+        {{"ruleId", JsonValue::Of(f.rule)},
+         {"level", JsonValue::Of(f.severity)},
+         {"message", text(f.message)},
+         {"locations", JsonValue::MakeArray({JsonValue::MakeObject(
+                           {{"physicalLocation", physical}})})}}));
   }
-  out << "\n      ]\n    }\n  ]\n}\n";
+  const JsonValue driver = JsonValue::MakeObject(
+      {{"name", JsonValue::Of("tornado_lint")},
+       {"informationUri", JsonValue::Of("docs/CHECKS.md")},
+       {"rules", rules}});
+  const JsonValue run = JsonValue::MakeObject(
+      {{"tool", JsonValue::MakeObject({{"driver", driver}})},
+       {"results", results}});
+  return JsonValue::MakeObject(
+      {{"$schema",
+        JsonValue::Of("https://json.schemastore.org/sarif-2.1.0.json")},
+       {"version", JsonValue::Of("2.1.0")},
+       {"runs", JsonValue::MakeArray({run})}});
+}
+
+// The --json report: every finding, suppressed ones with their reason.
+JsonValue JsonReport(const std::vector<Finding>& findings,
+                     size_t files_scanned, int unsuppressed,
+                     int unsuppressed_errors, int suppressed) {
+  JsonValue list = JsonValue::MakeArray();
+  for (const Finding& f : findings) {
+    list.array.push_back(
+        JsonValue::MakeObject({{"file", JsonValue::Of(f.file)},
+                               {"line", JsonValue::Of(f.line)},
+                               {"rule", JsonValue::Of(f.rule)},
+                               {"severity", JsonValue::Of(f.severity)},
+                               {"message", JsonValue::Of(f.message)},
+                               {"hint", JsonValue::Of(f.hint)},
+                               {"suppressed", JsonValue::Of(f.suppressed)},
+                               {"reason", JsonValue::Of(f.reason)}}));
+  }
+  return JsonValue::MakeObject(
+      {{"findings", list},
+       {"files_scanned", JsonValue::Of(files_scanned)},
+       {"unsuppressed", JsonValue::Of(unsuppressed)},
+       {"unsuppressed_errors", JsonValue::Of(unsuppressed_errors)},
+       {"suppressed", JsonValue::Of(suppressed)}});
 }
 
 }  // namespace
@@ -1064,27 +1071,12 @@ int main(int argc, char** argv) {
   }
 
   if (sarif) {
-    PrintSarif(lint.findings(), std::cout);
+    std::cout << JsonWrite(SarifReport(lint.findings())) << "\n";
   } else if (json) {
-    std::cout << "{\n  \"findings\": [";
-    bool first = true;
-    for (const Finding& f : lint.findings()) {
-      std::cout << (first ? "\n" : ",\n");
-      first = false;
-      std::cout << "    {\"file\": \"" << JsonEscape(f.file)
-                << "\", \"line\": " << f.line << ", \"rule\": \"" << f.rule
-                << "\", \"severity\": \"" << f.severity
-                << "\", \"message\": \"" << JsonEscape(f.message)
-                << "\", \"hint\": \"" << JsonEscape(f.hint)
-                << "\", \"suppressed\": " << (f.suppressed ? "true" : "false")
-                << ", \"reason\": \"" << JsonEscape(f.reason) << "\"}";
-    }
-    std::cout << "\n  ],\n";
-    std::cout << "  \"files_scanned\": " << files.size() << ",\n";
-    std::cout << "  \"unsuppressed\": " << unsuppressed << ",\n";
-    std::cout << "  \"unsuppressed_errors\": " << unsuppressed_errors
-              << ",\n";
-    std::cout << "  \"suppressed\": " << suppressed << "\n}\n";
+    std::cout << JsonWrite(JsonReport(lint.findings(), files.size(),
+                                      unsuppressed, unsuppressed_errors,
+                                      suppressed))
+              << "\n";
   } else {
     for (const Finding& f : lint.findings()) {
       if (f.suppressed) continue;

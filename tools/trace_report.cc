@@ -4,6 +4,8 @@
 // injected failures.
 //
 // Usage: trace_report <trace.json> [--top N]
+// Exit 2 with the usage line on a bad argument (a --top needs a count);
+// exit 1, naming the line, on a trace that does not parse.
 
 #include <cstdio>
 #include <cstdlib>
@@ -14,25 +16,37 @@
 int main(int argc, char** argv) {
   std::string path;
   size_t top_stalls = 5;
+  const auto usage = [](const std::string& problem) {
+    std::fprintf(stderr,
+                 "trace_report: %s\n"
+                 "usage: trace_report <trace.json> [--top N]\n",
+                 problem.c_str());
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--top" && i + 1 < argc) {
-      top_stalls = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
+    if (arg == "--top") {
+      const char* value = i + 1 < argc ? argv[++i] : "";
+      char* end = nullptr;
+      top_stalls = static_cast<size_t>(std::strtoul(value, &end, 10));
+      if (*value < '0' || *value > '9' || *end != '\0') {
+        return usage("--top needs a count, not '" + std::string(value) + "'");
+      }
+    } else if (!arg.empty() && arg[0] == '-') {
+      return usage("unknown flag '" + arg + "'");
     } else if (path.empty()) {
       path = arg;
     } else {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-      return 2;
+      return usage("unexpected argument '" + arg + "'");
     }
   }
-  if (path.empty()) {
-    std::fprintf(stderr, "usage: trace_report <trace.json> [--top N]\n");
-    return 2;
-  }
+  if (path.empty()) return usage("no trace file given");
 
   tornado::TraceSummary summary;
-  if (!tornado::SummarizeChromeTraceFile(path, &summary)) {
-    std::fprintf(stderr, "trace_report: cannot open %s\n", path.c_str());
+  std::string error;
+  if (!tornado::SummarizeChromeTraceFile(path, &summary, &error)) {
+    std::fprintf(stderr, "trace_report: %s: %s\n", path.c_str(),
+                 error.c_str());
     return 1;
   }
   if (summary.total_events == 0) {
