@@ -18,8 +18,8 @@
 //                      work, refuses (exit 1, naming the key) a baseline
 //                      that does not parse, lacks a knob or a gated
 //                      result, or was produced with different knobs
-//                      (smoke size, host core count): cross-knob numbers
-//                      measure nothing.
+//                      (smoke size, host core count, CMake build type):
+//                      cross-knob numbers measure nothing.
 //   --no-json          skip writing the JSON (just print the table)
 //   --backend=sim|par_sim|thread|both
 //                      which runtime substrate(s) drive the fig5 e2e run
@@ -294,7 +294,7 @@ KernelBenchResult BenchKernelAlgo(const std::string& algo, uint64_t reps,
 
 struct Knob {
   const char* key;
-  double value;
+  JsonValue value;  // a number or a string
 };
 
 // Reads the --check baseline before any work. Refuses it, with one stderr
@@ -317,32 +317,41 @@ bool LoadBaseline(const std::string& path, const std::vector<Knob>& knobs,
     return false;
   }
   bool ok = true;
-  // The baseline's number at section.key; nullptr, with a FAIL line, when
-  // it is absent (or, for a gated rate, not positive).
-  const auto number = [&](const char* section, const std::string& key,
-                          bool positive) -> const JsonValue* {
-    const JsonValue* table = out->Find(section);
-    const JsonValue* value = table == nullptr
-                                 ? nullptr
-                                 : table->Find(key, JsonValue::Type::kNumber);
-    if (value != nullptr && (!positive || value->number > 0.0)) return value;
-    std::fprintf(stderr, "FAIL: baseline %s has no %s %s.%s\n", path.c_str(),
-                 positive ? "positive" : "numeric", section, key.c_str());
-    ok = false;
-    return nullptr;
-  };
+  const JsonValue* committed_knobs = out->Find("knobs");
   for (const Knob& knob : knobs) {
-    const JsonValue* committed = number("knobs", knob.key, false);
-    if (committed != nullptr && committed->number != knob.value) {
+    const JsonValue* committed =
+        committed_knobs == nullptr
+            ? nullptr
+            : committed_knobs->Find(knob.key, knob.value.type);
+    if (committed == nullptr) {
+      std::fprintf(stderr, "FAIL: baseline %s has no %s knobs.%s\n",
+                   path.c_str(),
+                   knob.value.is_number() ? "numeric" : "string", knob.key);
+      ok = false;
+      continue;
+    }
+    const std::string was = JsonWrite(*committed);
+    const std::string now = JsonWrite(knob.value);
+    if (was != now) {
       std::fprintf(stderr,
-                   "FAIL: knob %s mismatch (baseline %g, this run %g); "
+                   "FAIL: knob %s mismatch (baseline %s, this run %s); "
                    "refusing to compare results produced under different "
                    "knobs — regenerate %s on this host first\n",
-                   knob.key, committed->number, knob.value, path.c_str());
+                   knob.key, was.c_str(), now.c_str(), path.c_str());
       ok = false;
     }
   }
-  for (const std::string& key : gated) number("results", key, true);
+  const JsonValue* results = out->Find("results");
+  for (const std::string& key : gated) {
+    const JsonValue* value =
+        results == nullptr ? nullptr
+                           : results->Find(key, JsonValue::Type::kNumber);
+    if (value == nullptr || value->number <= 0.0) {
+      std::fprintf(stderr, "FAIL: baseline %s has no positive results.%s\n",
+                   path.c_str(), key.c_str());
+      ok = false;
+    }
+  }
   return ok;
 }
 
@@ -422,11 +431,11 @@ int Main(int argc, char** argv) {
   // checked against a full-sized baseline, or a different host profile —
   // silently compares incomparable numbers.
   const std::vector<Knob> knob_set = {
-      {"smoke", smoke ? 1.0 : 0.0},
-      {"drain_events", static_cast<double>(kDrainN)},
-      {"net_messages", static_cast<double>(kMsgs)},
-      {"host_cores",
-       static_cast<double>(std::thread::hardware_concurrency())},
+      {"smoke", JsonValue::Of(smoke ? 1 : 0)},
+      {"drain_events", JsonValue::Of(kDrainN)},
+      {"net_messages", JsonValue::Of(kMsgs)},
+      {"host_cores", JsonValue::Of(std::thread::hardware_concurrency())},
+      {"build_type", JsonValue::Of(std::string(TORNADO_BUILD_TYPE))},
   };
   // --check gates the drain rate, the deterministic events-per-message
   // count and every kernel rate.
@@ -501,7 +510,13 @@ int Main(int argc, char** argv) {
   table.Print();
 
   if (write_json) {
-    for (const auto& knob : knob_set) json.AddKnob(knob.key, knob.value);
+    for (const Knob& knob : knob_set) {
+      if (knob.value.is_number()) {
+        json.AddKnob(knob.key, knob.value.number);
+      } else {
+        json.AddKnob(knob.key, knob.value.string_value);
+      }
+    }
     json.AddKnob("kernel_variant", variant);
     json.AddResult("el_drain_events_per_sec", el_drain);
     json.AddResult("el_churn_ops_per_sec", el_churn);

@@ -1,8 +1,10 @@
 #include "check/invariant_checker.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <unordered_set>
 #include <utility>
 
 #include "common/ordered.h"
@@ -200,8 +202,32 @@ void CheckObserver::DeepCheck(const SessionTable& sessions) {
                  "stalled set names a vertex with no session"});
       }
     }
+    // INV-ACTIVE-SET: the active list names live sessions, each once and
+    // flagged, and holds every session with pending work, so the report's
+    // minimum over the list equals the minimum over the whole partition.
+    std::unordered_set<const VertexSession*> listed;
+    Iteration list_min = kNoIteration;
+    for (const VertexSession* s : ls.active) {
+      auto it = ls.vertices.find(s->id);
+      if (it == ls.vertices.end() || &it->second != s || !s->in_active ||
+          !listed.insert(s).second) {
+        Violate({"INV-ACTIVE-SET", loop, ls.epoch, s->id, ls.tau,
+                 "active list entry is not a live, flagged, unique session"});
+        continue;
+      }
+      if (s->dirty) list_min = std::min(list_min, ls.MinCommitIteration(*s));
+    }
+    Iteration scan_min = kNoIteration;
     ForEachOrdered(ls.vertices, [&](VertexId id, const VertexSession& s) {
       mu_.AssertHeld();
+      if (s.dirty || s.update_time.has_value()) {
+        scan_min = std::min(scan_min, ls.MinCommitIteration(s));
+        if (!s.in_active || listed.count(&s) == 0) {
+          Violate({"INV-ACTIVE-SET", loop, ls.epoch, id, s.iter,
+                   "session with pending work is missing from the active "
+                   "list"});
+        }
+      }
       const bool quiescent = !s.dirty && !s.update_time.has_value() &&
                              s.prepare_list.empty() &&
                              s.pending_inputs.empty();
@@ -221,6 +247,13 @@ void CheckObserver::DeepCheck(const SessionTable& sessions) {
                      " deferred acks"});
       }
     });
+    if (list_min != scan_min) {
+      Violate({"INV-ACTIVE-SET", loop, ls.epoch, 0, ls.tau,
+               "min_work_iter over the active list " +
+                   std::to_string(static_cast<int64_t>(list_min)) +
+                   " != full scan " +
+                   std::to_string(static_cast<int64_t>(scan_min))});
+    }
   });
 }
 

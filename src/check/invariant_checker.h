@@ -52,6 +52,9 @@ struct CheckViolation {
 ///                  updates, and stalled ids refer to live sessions.
 ///   INV-QUIESCENT  a non-preparing vertex holds no waiting list and no
 ///                  deferred acks.
+///   INV-ACTIVE-SET every session with pending work (dirty or preparing)
+///                  is on its loop's active list, and the list's
+///                  min_work_iter equals a full scan's.
 ///
 /// All event state is scoped by (loop, epoch): traffic from superseded
 /// epochs is ignored, and a worker restart (OnEngineReset) conservatively
@@ -92,7 +95,8 @@ class CheckObserver final : public EngineObserver {
                       Iteration merge_iteration) override;
 
   /// Structural pass over one processor's sessions (INV-RETIRE-DRAIN,
-  /// INV-BLOCKED-COUNT, INV-QUIESCENT). Call between dispatches only.
+  /// INV-BLOCKED-COUNT, INV-QUIESCENT, INV-ACTIVE-SET). Call between
+  /// dispatches only.
   void DeepCheck(const SessionTable& sessions);
 
   /// Snapshot of the recorded violations, by value: on the thread

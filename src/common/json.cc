@@ -215,9 +215,38 @@ class Parser {
     return Fail("invalid literal");
   }
 
+  // RFC 8259: -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?
+  static bool IsJsonNumber(const std::string& t) {
+    size_t i = 0;
+    const auto digits = [&]() {
+      const size_t first = i;
+      while (i < t.size() && std::isdigit(static_cast<unsigned char>(t[i]))) {
+        ++i;
+      }
+      return i > first;
+    };
+    if (i < t.size() && t[i] == '-') ++i;
+    if (i < t.size() && t[i] == '0') {
+      ++i;
+    } else if (!digits()) {
+      return false;
+    }
+    if (i < t.size() && t[i] == '.') {
+      ++i;
+      if (!digits()) return false;
+    }
+    if (i < t.size() && (t[i] == 'e' || t[i] == 'E')) {
+      ++i;
+      if (i < t.size() && (t[i] == '+' || t[i] == '-')) ++i;
+      if (!digits()) return false;
+    }
+    return i == t.size();
+  }
+
   bool ParseNumber(JsonValue* out) {
     const size_t start = pos_;
-    if (!AtEnd() && Peek() == '-') ++pos_;
+    // Take the whole run of number characters, then hold it to the
+    // grammar, so a malformed number is named in full.
     while (!AtEnd() && (std::isdigit(static_cast<unsigned char>(Peek())) ||
                         Peek() == '.' || Peek() == 'e' || Peek() == 'E' ||
                         Peek() == '+' || Peek() == '-')) {
@@ -227,7 +256,8 @@ class Parser {
     const std::string token = text_.substr(start, pos_ - start);
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0' || !std::isfinite(value)) {
+    if (!IsJsonNumber(token) || end == nullptr || *end != '\0' ||
+        !std::isfinite(value)) {
       pos_ = start;
       return Fail("invalid number \"" + token + "\"");
     }

@@ -14,8 +14,9 @@ namespace tornado {
 /// The repo's one JSON document model, reader and writer: scenario files,
 /// bench results, lint reports and trace summaries all go through it.
 /// Hand-rolled (the repo takes no third-party dependencies), strict (no
-/// comments, no trailing commas, no NaN/Inf), and order-preserving so a
-/// parsed document round-trips in a stable field order. Numbers are held
+/// comments, no trailing commas, no NaN/Inf, numbers only in RFC 8259's
+/// grammar), and order-preserving so a parsed document round-trips in a
+/// stable field order. Numbers are held
 /// as doubles — the integers written here (counts, seeds, line numbers)
 /// stay well inside the 2^53 exact range.
 struct JsonValue {

@@ -120,6 +120,10 @@ inline constexpr const char kTransportAcks[] = "transport_acks";
 inline constexpr const char kMessagesDroppedLink[] = "messages_dropped_link";
 inline constexpr const char kAcksDroppedLink[] = "acks_dropped_link";
 inline constexpr const char kVersionsFlushed[] = "versions_flushed";
+// Vertex sessions progress reports visited to find min_work_iter: a
+// deterministic count that follows the dirty sessions, not the partition.
+inline constexpr const char kReportSessionsVisited[] =
+    "report_sessions_visited";
 inline constexpr const char kInputsGathered[] = "inputs_gathered";
 inline constexpr const char kUpdatesBlocked[] = "updates_blocked_at_bound";
 inline constexpr const char kIterationsTerminated[] = "iterations_terminated";

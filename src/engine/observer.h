@@ -62,6 +62,10 @@ class EngineObserver {
   /// report (Section 5.3's checkpoint rule).
   virtual void OnFlush(LoopId /*loop*/, uint64_t /*versions*/) {}
 
+  /// A progress report for `loop` was built; finding its min_work_iter
+  /// visited `sessions` vertex sessions (the loop's active list).
+  virtual void OnReport(LoopId /*loop*/, uint64_t /*sessions*/) {}
+
   // --- Lifecycle events (consumed by the invariant checker). ---
 
   /// Processor `processor` (re)materialized the runtime of `loop` under
@@ -132,6 +136,9 @@ class EngineObserverList final : public EngineObserver {
   }
   void OnFlush(LoopId loop, uint64_t versions) override {
     for (EngineObserver* o : observers_) o->OnFlush(loop, versions);
+  }
+  void OnReport(LoopId loop, uint64_t sessions) override {
+    for (EngineObserver* o : observers_) o->OnReport(loop, sessions);
   }
   void OnLoopCreated(LoopId loop, LoopEpoch epoch, Iteration tau,
                      uint32_t processor) override {

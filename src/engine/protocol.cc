@@ -248,15 +248,6 @@ void ProtocolStateMachine::PersistVertex(LoopState& ls, VertexSession& s,
   out->cost += config_->cost.store_write_cost;
 }
 
-Iteration ProtocolStateMachine::MinCommitIteration(
-    const LoopState& ls, const VertexSession& s) const {
-  Iteration mc = std::max(s.iter, ls.tau);
-  if (s.last_commit != kNoIteration && s.last_commit + 1 > mc) {
-    mc = s.last_commit + 1;
-  }
-  return mc;
-}
-
 // ---------------------------------------------------------------------------
 // Protocol: gathering
 // ---------------------------------------------------------------------------
@@ -295,7 +286,7 @@ void ProtocolStateMachine::GatherInput(LoopState& ls, VertexSession& s,
                     &out->cost);
   const bool changed = config_->program->OnInput(ctx, delta);
   out->cost += config_->cost.per_update_cpu + config_->program->GatherCost();
-  if (changed || !s.retiring().empty()) s.dirty = true;
+  if (changed || !s.retiring().empty()) ls.MarkDirty(s);
 }
 
 void ProtocolStateMachine::HandleUpdate(const UpdateMsg& msg,
@@ -353,7 +344,7 @@ void ProtocolStateMachine::GatherUpdate(LoopState& ls, VertexSession& s,
   EngineContext ctx(EngineContext::Mode::kUpdate, ls.loop, s.iter, &s,
                     &out->cost);
   if (config_->program->OnUpdate(ctx, source, iteration, update)) {
-    s.dirty = true;
+    ls.MarkDirty(s);
   }
   out->cost += config_->cost.per_update_cpu + config_->program->GatherCost();
   MaybePrepare(ls, s, out);
@@ -368,7 +359,7 @@ void ProtocolStateMachine::MaybePrepare(LoopState& ls, VertexSession& s,
   if (!s.dirty || s.update_time.has_value() || !s.prepare_list.empty()) {
     return;
   }
-  const Iteration mc = MinCommitIteration(ls, s);
+  const Iteration mc = ls.MinCommitIteration(s);
   const Iteration bound = BoundIteration(ls);
   if (mc > bound) {
     // The vertex already committed at the bound; it must wait for tau to
@@ -460,7 +451,7 @@ void ProtocolStateMachine::HandleAck(const AckMsg& msg, EngineActions* out) {
     // Acks are capped at the bound, but tau can regress relative to a
     // just-received notification ordering; clamp defensively.
     const Iteration c =
-        std::min(MinCommitIteration(*ls, s), BoundIteration(*ls));
+        std::min(ls->MinCommitIteration(s), BoundIteration(*ls));
     Commit(*ls, s, c, out);
   }
 }
@@ -633,7 +624,7 @@ size_t ProtocolStateMachine::GatherUpdateRun(
     EngineContext ctx(EngineContext::Mode::kUpdate, ls.loop, s.iter, &s,
                       &out->cost);
     if (prog.OnUpdateBatch(ctx, run.data(), run.size(), per_item_cost)) {
-      s.dirty = true;
+      ls.MarkDirty(s);
     }
     run.clear();
   };
@@ -708,7 +699,7 @@ void ProtocolStateMachine::HandleForkBranch(const ForkBranchMsg& msg,
     VertexSession& s = GetOrCreateVertex(branch, v);
     ++loaded;
     if (config_->program->ActivateOnFork(*s.state)) {
-      s.dirty = true;
+      branch.MarkDirty(s);
     }
   }
   out->cost += config_->cost.store_write_cost * static_cast<double>(loaded);
@@ -730,13 +721,13 @@ void ProtocolStateMachine::HandleForkBranch(const ForkBranchMsg& msg,
                            ps.last_commit >= msg.snapshot_iteration);
       if (!active) return;
       VertexSession& s = GetOrCreateVertex(branch, v);
-      s.dirty = true;
+      branch.MarkDirty(s);
       config_->program->OnRestore(s.state.get());
     });
     for (auto& [iter, batch] : parent->blocked) {
       for (const BlockedUpdate& b : batch) {
         VertexSession& s = GetOrCreateVertex(branch, b.dst);
-        s.dirty = true;
+        branch.MarkDirty(s);
         config_->program->OnRestore(s.state.get());
       }
     }
@@ -771,11 +762,12 @@ void ProtocolStateMachine::HandleRestartLoop(const RestartLoopMsg& msg,
       if (!sessions_->LoadFromStore(loop, v, msg.from_iteration, &s)) {
         continue;
       }
+      config_->program->OnRestore(s.state.get());
       // Re-drive the computation from the checkpoint: every restored
       // vertex re-scatters once so work lost in the rollback is redone.
-      s.dirty = true;
-      config_->program->OnRestore(s.state.get());
-      loop.vertices.emplace(v, std::move(s));
+      // Marked after the emplace: the active list must hold the address
+      // of the session in the table, not of this local.
+      loop.MarkDirty(loop.vertices.emplace(v, std::move(s)).first->second);
       ++loaded;
     }
     out->cost += config_->cost.store_write_cost * static_cast<double>(loaded);
@@ -849,14 +841,9 @@ std::shared_ptr<ProgressMsg> ProtocolStateMachine::BuildReport(
   report->report_seq = ++ls.report_seq;
   report->buckets = ls.buckets;
 
-  Iteration min_work = kNoIteration;
-  // NOLINTNEXTLINE(DET-003): min-aggregation is order-insensitive.
-  for (const auto& [v, s] : ls.vertices) {
-    if (!s.dirty && !s.update_time.has_value()) continue;
-    const Iteration mc = MinCommitIteration(ls, s);
-    if (mc < min_work) min_work = mc;
-  }
-  report->min_work_iter = min_work;
+  const uint64_t visited = ls.active.size();
+  report->min_work_iter = ls.SweepMinWork();
+  observer_->OnReport(ls.loop, visited);
 
   double progress_sum = 0.0;
   for (const auto& [iter, p] : ls.progress) progress_sum += p;

@@ -131,8 +131,6 @@ class ProtocolStateMachine {
   VertexSession& GetOrCreateVertex(LoopState& ls, VertexId id);
   void PersistVertex(LoopState& ls, VertexSession& s, Iteration iteration,
                      EngineActions* out);
-  Iteration MinCommitIteration(const LoopState& ls,
-                               const VertexSession& s) const;
   bool OwnsVertex(VertexId v) const {
     return partitioner_.PartitionOf(v) == index_;
   }

@@ -1,5 +1,6 @@
 #include "engine/session_table.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -27,6 +28,21 @@ LoopState& SessionTable::Create(LoopId loop, LoopEpoch epoch, Iteration tau) {
   ls.epoch = epoch;
   ls.tau = tau;
   return loops_.emplace(loop, std::move(ls)).first->second;
+}
+
+Iteration LoopState::SweepMinWork() {
+  Iteration min_work = kNoIteration;
+  size_t kept = 0;
+  for (VertexSession* s : active) {
+    if (!s->dirty) {
+      s->in_active = false;
+      continue;
+    }
+    active[kept++] = s;
+    min_work = std::min(min_work, MinCommitIteration(*s));
+  }
+  active.resize(kept);
+  return min_work;
 }
 
 Rng SessionTable::MakeVertexRng(LoopId loop, VertexId id) const {

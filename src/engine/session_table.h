@@ -1,6 +1,7 @@
 #ifndef TORNADO_ENGINE_SESSION_TABLE_H_
 #define TORNADO_ENGINE_SESSION_TABLE_H_
 
+#include <algorithm>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -32,6 +33,13 @@ struct LoopState {
   LoopEpoch epoch = 0;
   Iteration tau = 0;  // first not-yet-terminated iteration
   std::unordered_map<VertexId, VertexSession> vertices;
+  // Every session whose dirty flag was set since the report that last
+  // visited it, each once (VertexSession::in_active); clean ones leave at
+  // the next SweepMinWork. A session only prepares while dirty, so this
+  // list holds every session with work pending (docs/PROTOCOL.md §4).
+  // The pointers stay valid: sessions are never erased one by one, and
+  // unordered_map nodes do not move.
+  std::vector<VertexSession*> active;
   std::map<Iteration, std::vector<BlockedUpdate>> blocked;
   std::map<Iteration, IterationCounters> buckets;
   std::map<Iteration, double> progress;  // per-iteration progress metric
@@ -41,6 +49,30 @@ struct LoopState {
   uint64_t blocked_count = 0;
   uint64_t report_seq = 0;
   uint64_t writes_since_flush = 0;
+
+  /// Sets `s` dirty and puts it on the active list. The only way the
+  /// engine dirties a session.
+  void MarkDirty(VertexSession& s) {
+    s.dirty = true;
+    if (s.in_active) return;
+    s.in_active = true;
+    active.push_back(&s);
+  }
+
+  /// Earliest iteration `s` may commit at: no earlier than tau, and past
+  /// its last commit.
+  Iteration MinCommitIteration(const VertexSession& s) const {
+    Iteration mc = std::max(s.iter, tau);
+    if (s.last_commit != kNoIteration && s.last_commit + 1 > mc) {
+      mc = s.last_commit + 1;
+    }
+    return mc;
+  }
+
+  /// The report's min_work_iter: the least MinCommitIteration over the
+  /// dirty sessions, or kNoIteration when none is dirty. Visits only the
+  /// active list, and drops from it the sessions that are clean again.
+  Iteration SweepMinWork();
 };
 
 /// Owns every VertexSession of one processor, keyed by (loop, vertex),

@@ -41,6 +41,7 @@ struct VertexSession {
   std::vector<DeferredAck> pending_list;
   uint64_t prepare_cause = 0;  // trace round id of the in-flight prepare
   bool dirty = false;
+  bool in_active = false;  // on its LoopState's active list
   std::deque<Delta> pending_inputs;  // inputs deferred during preparation
   Iteration merge_floor = 0;         // updates below this are stale
   Rng rng{0};

@@ -125,8 +125,8 @@ ThreadTransport::ThreadTransport(const Clock* clock, const SubstrateRng* rng)
         metric::kMessagesSent, metric::kMessagesDelivered,
         metric::kMessagesRetransmitted, metric::kMessagesDeduped,
         metric::kTransportAcks, metric::kVersionsFlushed,
-        metric::kInputsGathered, metric::kUpdatesBlocked,
-        metric::kIterationsTerminated}) {
+        metric::kReportSessionsVisited, metric::kInputsGathered,
+        metric::kUpdatesBlocked, metric::kIterationsTerminated}) {
     metrics_.CounterHandle(name);
   }
   sent_counter_ = &metrics_.CounterHandle(metric::kMessagesSent);

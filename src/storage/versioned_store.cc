@@ -106,7 +106,7 @@ void VersionedStore::PutBytesLocked(LoopId loop, VertexId vertex,
     }
     entries.insert(it, entry);
   }
-  if (!CoveredBy(iteration, loop_data.durable)) ++loop_data.dirty;
+  if (!CoveredBy(iteration, loop_data.durable)) ++loop_data.dirty[iteration];
 }
 
 const VersionedStore::Chain* VersionedStore::FindChain(LoopId loop,
@@ -219,22 +219,30 @@ size_t VersionedStore::FlushLocked(LoopId loop, Iteration iteration) {
   LoopData& data = it->second;
   if (CoveredBy(iteration, data.durable)) return 0;
 
+  // Every counted iteration is past the old watermark, so all counted
+  // versions at or below the new one become durable now.
   size_t flushed = 0;
-  for (const auto& [vertex, chain] : data.chains) {
-    for (const VersionEntry& entry : chain.entries) {
-      if (entry.iteration > iteration) break;
-      if (!CoveredBy(entry.iteration, data.durable)) ++flushed;
-    }
-  }
+  const auto end = data.dirty.upper_bound(iteration);
+  for (auto d = data.dirty.begin(); d != end; ++d) flushed += d->second;
+  data.dirty.erase(data.dirty.begin(), end);
   data.durable = iteration;
-  TCHECK_GE(data.dirty, flushed);
-  data.dirty -= flushed;
   return flushed;
 }
 
 size_t VersionedStore::DirtyVersionsLocked(LoopId loop) const {
   auto it = loops_.find(loop);
-  return it == loops_.end() ? 0 : it->second.dirty;
+  if (it == loops_.end()) return 0;
+  size_t n = 0;
+  for (const auto& [iteration, count] : it->second.dirty) n += count;
+  return n;
+}
+
+void VersionedStore::UncountDirty(LoopData& data, Iteration iteration) {
+  if (CoveredBy(iteration, data.durable)) return;
+  auto it = data.dirty.find(iteration);
+  TCHECK(it != data.dirty.end() && it->second > 0)
+      << "dirty count lost a version at iteration " << iteration;
+  if (--it->second == 0) data.dirty.erase(it);
 }
 
 Iteration VersionedStore::DurableIterationLocked(LoopId loop) const {
@@ -252,10 +260,7 @@ void VersionedStore::TruncateAfterLocked(LoopId loop, Iteration iteration) {
         entries.begin(), entries.end(), iteration,
         [](Iteration at, const VersionEntry& e) { return at < e.iteration; });
     for (auto v = first_gone; v != entries.end(); ++v) {
-      if (!CoveredBy(v->iteration, data.durable)) {
-        TCHECK_GT(data.dirty, 0u);
-        --data.dirty;
-      }
+      UncountDirty(data, v->iteration);
       ReleaseEntry(data, *v);
     }
     entries.erase(first_gone, entries.end());
@@ -279,10 +284,7 @@ size_t VersionedStore::PruneBelowLocked(LoopId loop, Iteration iteration) {
     if (keep == entries.begin()) continue;
     --keep;  // newest version <= iteration stays: it is the snapshot base
     for (auto v = entries.begin(); v != keep; ++v) {
-      if (!CoveredBy(v->iteration, data.durable)) {
-        TCHECK_GT(data.dirty, 0u);
-        --data.dirty;
-      }
+      UncountDirty(data, v->iteration);
       ReleaseEntry(data, *v);
       ++removed;
     }

@@ -2,6 +2,7 @@
 #define TORNADO_STORAGE_VERSIONED_STORE_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -322,7 +323,9 @@ class VersionedStore {
     Arena arena;
     uint64_t compactions = 0;
     Iteration durable = kNoIteration;
-    size_t dirty = 0;
+    // Versions newer than `durable`, counted per iteration, so a flush
+    // sums the iterations it covers instead of walking every chain.
+    std::map<Iteration, size_t> dirty;
   };
 
   // The *Locked bodies (versioned_store.cc). Internal calls go through
@@ -366,6 +369,8 @@ class VersionedStore {
   static void ReleaseEntry(LoopData& data, const VersionEntry& entry) {
     data.arena.Release(entry.block, entry.length);
   }
+  // Drops a version at `iteration` from the dirty count, if it was dirty.
+  static void UncountDirty(LoopData& data, Iteration iteration);
   void MaybeCompact(LoopData& data);
 
   // Driver-set before any concurrent access (SetThreadSafe), then read

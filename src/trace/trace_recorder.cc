@@ -1,12 +1,14 @@
 #include "trace/trace_recorder.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <utility>
 
 #include "common/json.h"
+#include "common/logging.h"
 
 namespace tornado {
 
@@ -100,6 +102,10 @@ void TraceRecorder::Instant(const char* cat, const char* name, uint32_t track,
 
 void TraceRecorder::Counter(const char* cat, const std::string& name,
                             uint32_t track, double value) {
+  // The sample is written as a bare JSON number, and JSON has no NaN/Inf.
+  TCHECK(std::isfinite(value))
+      << "trace counter " << name << " sampled the non-finite value "
+      << value;
   if (!enabled_) return;
   TraceEvent ev;
   ev.ts = clock_->now();

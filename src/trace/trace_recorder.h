@@ -78,7 +78,8 @@ class TraceRecorder {
   void Instant(const char* cat, const char* name, uint32_t track,
                TraceArgs args = {});
 
-  /// Records a counter sample (rendered as a graph by Perfetto).
+  /// Records a counter sample (rendered as a graph by Perfetto). A
+  /// non-finite `value` is a bug in the probe and aborts, naming `name`.
   void Counter(const char* cat, const std::string& name, uint32_t track,
                double value);
 

@@ -490,6 +490,35 @@ TEST(JsonTest, ParseErrorsNameLineAndColumn) {
   }
 }
 
+// Numbers follow RFC 8259's grammar exactly: no sign but '-', no leading
+// zeros, digits on both sides of a '.', and digits after an exponent.
+TEST(JsonTest, NumbersFollowTheRfcGrammar) {
+  const struct {
+    const char* text;
+    double value;
+  } kAccepted[] = {
+      {"0", 0.0},       {"-0.5", -0.5}, {"1E-3", 1e-3},  {"10", 10.0},
+      {"-0", -0.0},     {"2.50", 2.5},  {"1e+2", 100.0}, {"0e0", 0.0},
+      {"-12.5e1", -125.0},
+  };
+  for (const auto& c : kAccepted) {
+    const JsonValue parsed = ParseOrDie(c.text);
+    ASSERT_TRUE(parsed.is_number()) << c.text;
+    EXPECT_EQ(parsed.number, c.value) << c.text;
+  }
+  for (const char* text :
+       {"+1", "01", "-01", "1.", ".5", "-", "1e", "1e+", "1.e3", "-.5",
+        "0x10", "1e5.0", "--1"}) {
+    JsonValue value;
+    std::string error;
+    EXPECT_FALSE(JsonParse(text, &value, &error)) << text;
+  }
+  JsonValue value;
+  std::string error;
+  EXPECT_FALSE(JsonParse("{\"a\": 01}", &value, &error));
+  EXPECT_EQ(error, "1:7: invalid number \"01\"");
+}
+
 // JSON has no NaN or Inf: the writer refuses to emit text its own parser
 // (and every other JSON reader) would reject.
 TEST(JsonDeathTest, WriterRejectsNonFiniteNumbers) {

@@ -139,6 +139,37 @@ TEST(InvariantCheckerTest, DeepCheckCatchesCorruptedSessionState) {
   EXPECT_TRUE(Tripped(checker, "INV-BLOCKED-COUNT"));
   EXPECT_TRUE(Tripped(checker, "INV-QUIESCENT"));
   EXPECT_TRUE(Tripped(checker, "INV-RETIRE-DRAIN"));
+  EXPECT_FALSE(Tripped(checker, "INV-ACTIVE-SET"));
+}
+
+TEST(InvariantCheckerTest, DeepCheckCatchesDirtySessionOffTheActiveList) {
+  JobConfig config;
+  VersionedStore store;
+  SessionTable sessions(&config, &store);
+  LoopState& ls = sessions.Create(1, 0, 3);
+  for (VertexId v : {10, 11}) {
+    VertexSession& s = ls.vertices[v];
+    s.id = v;
+    s.iter = v - 6;  // 4 and 5: both beyond tau
+    ls.MarkDirty(s);
+  }
+
+  CheckObserver clean = Recorder();
+  clean.DeepCheck(sessions);
+  EXPECT_TRUE(clean.violations().empty());
+
+  // Drop vertex 10, the one holding the minimum, from the list: a report
+  // would now claim min_work_iter 5 while work at iteration 4 is pending.
+  ls.active.erase(ls.active.begin());
+  CheckObserver checker = Recorder();
+  checker.DeepCheck(sessions);
+  const std::vector<CheckViolation> violations = checker.violations();
+  ASSERT_EQ(violations.size(), 2u);
+  EXPECT_EQ(violations[0].invariant, "INV-ACTIVE-SET");
+  EXPECT_EQ(violations[0].vertex, 10u);
+  EXPECT_EQ(violations[1].invariant, "INV-ACTIVE-SET");
+  EXPECT_NE(violations[1].detail.find("!= full scan 4"), std::string::npos)
+      << violations[1].detail;
 }
 
 TEST(InvariantCheckerDeathTest, AbortModeDumpsTheInvariantName) {

@@ -4,15 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <variant>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/serde.h"
 #include "core/config.h"
 #include "core/messages.h"
 #include "core/vertex_program.h"
 #include "engine/consistency_policy.h"
+#include "engine/metrics_observer.h"
 #include "engine/observer.h"
 #include "engine/protocol.h"
 #include "engine/session_table.h"
@@ -118,9 +121,11 @@ class Harness {
     config_.consistency = mode;
     config_.num_processors = 1;
     policy_ = MakeConsistencyPolicy(config_);
+    observers_.Add(&observer_);
+    observers_.Add(&metrics_observer_);
     sm_ = std::make_unique<ProtocolStateMachine>(
         /*index=*/0, &config_, &sessions_, policy_.get(),
-        HashPartitioner(1), &observer_);
+        HashPartitioner(1), &observers_);
   }
 
   EngineActions Dispatch(const Payload& msg) {
@@ -182,6 +187,9 @@ class Harness {
   SessionTable sessions_{&config_, &store_};
   std::unique_ptr<ConsistencyPolicy> policy_;
   RecordingObserver observer_;
+  MetricRegistry metrics_;
+  MetricsEngineObserver metrics_observer_{&metrics_};
+  EngineObserverList observers_;
   std::unique_ptr<ProtocolStateMachine> sm_;
 };
 
@@ -508,6 +516,43 @@ TEST(ProtocolStateMachineTest, BuildReportFlushesDirtyVersions) {
   auto report2 = h.sm_->BuildReport(*ls, &out2);
   EXPECT_EQ(h.observer_.flushed, 1u);
   EXPECT_EQ(report2->report_seq, 2u);
+}
+
+// A report costs what changed: with the same five vertices mid-prepare, it
+// visits the same sessions whether the partition also holds 1,000 or 2,000
+// quiescent committed vertices, and its min_work_iter matches a scan of
+// every session.
+TEST(ProtocolStateMachineTest, ReportVisitsOnlyTheDirtySessions) {
+  std::vector<int64_t> visited;
+  for (const VertexId quiescent : {1000u, 2000u}) {
+    Harness h;
+    for (VertexId v = 1; v <= quiescent; ++v) {
+      h.Input(v, EdgeDelta{v, 0, 1.0, true});  // no consumers: commits now
+    }
+    LoopState* ls = h.sessions_.Get(kMainLoop);
+    ASSERT_NE(ls, nullptr);
+    EngineActions out;
+    h.sm_->BuildReport(*ls, &out);  // sweeps the committed sessions off
+    const int64_t swept = h.metrics_.Get(metric::kReportSessionsVisited);
+    EXPECT_EQ(swept, static_cast<int64_t>(quiescent));
+
+    // Five vertices prepare toward consumer 1; nothing pumps their acks.
+    for (VertexId v = 100001; v <= 100005; ++v) {
+      h.Input(v, EdgeDelta{v, 1, 5.0, true});
+    }
+    auto report = h.sm_->BuildReport(*ls, &out);
+    visited.push_back(h.metrics_.Get(metric::kReportSessionsVisited) - swept);
+
+    Iteration scan = kNoIteration;
+    for (const auto& [v, s] : ls->vertices) {
+      if (s.dirty || s.update_time.has_value()) {
+        scan = std::min(scan, ls->MinCommitIteration(s));
+      }
+    }
+    EXPECT_NE(scan, kNoIteration);
+    EXPECT_EQ(report->min_work_iter, scan);
+  }
+  EXPECT_EQ(visited, (std::vector<int64_t>{5, 5}));
 }
 
 }  // namespace

@@ -161,6 +161,75 @@ TEST_P(StoreModelTest, RandomOpsAgreeWithModel) {
   }
 }
 
+// The store counts dirty versions per iteration instead of walking its
+// chains on a flush; the counts must equal a walk of the model's chains
+// above the durable watermark, through overwrites, puts below the
+// watermark, truncation, pruning and recovery.
+TEST_P(StoreModelTest, FlushCountsEqualAChainWalk) {
+  Rng rng(GetParam() * 40503ULL);
+  VersionedStore store;
+  StoreModel model;
+  constexpr LoopId kLoop = 0;
+  constexpr int kVertices = 16;
+  Iteration max_iter = 0;
+  Iteration durable = kNoIteration;
+  // Model versions above the watermark and at or below `upto`.
+  const auto walk = [&](Iteration upto) {
+    size_t n = 0;
+    auto l = model.data_.find(kLoop);
+    if (l == model.data_.end()) return n;
+    for (const auto& [vertex, chain] : l->second) {
+      for (const auto& [iter, value] : chain) {
+        if ((durable == kNoIteration || iter > durable) && iter <= upto) ++n;
+      }
+    }
+    return n;
+  };
+
+  for (int op = 0; op < 3000; ++op) {
+    const Iteration at = rng.NextUint64(max_iter + 2);
+    switch (rng.NextUint64(20)) {
+      default: {
+        const auto vertex = static_cast<VertexId>(rng.NextUint64(kVertices));
+        const Iteration iter = max_iter + rng.NextUint64(3);
+        max_iter = std::max(max_iter, iter);
+        const std::vector<uint8_t> value = {static_cast<uint8_t>(op)};
+        store.Put(kLoop, vertex, iter, value);
+        model.Put(kLoop, vertex, iter, value);
+        break;
+      }
+      case 0:
+      case 1:
+      case 2: {
+        const size_t want =
+            durable != kNoIteration && at <= durable ? 0 : walk(at);
+        ASSERT_EQ(store.Flush(kLoop, at), want) << "op " << op;
+        if (durable == kNoIteration || at > durable) durable = at;
+        break;
+      }
+      case 3:
+        store.TruncateAfter(kLoop, at);
+        model.TruncateAfter(kLoop, at);
+        if (durable != kNoIteration && durable > at) durable = at;
+        break;
+      case 4:
+        store.PruneBelow(kLoop, at);
+        model.PruneBelow(kLoop, at);
+        break;
+      case 5:
+        store.RecoverToDurable(kLoop);
+        if (durable == kNoIteration) {
+          model.data_.erase(kLoop);
+        } else {
+          model.TruncateAfter(kLoop, durable);
+        }
+        break;
+    }
+    ASSERT_EQ(store.DirtyVersions(kLoop), walk(kNoIteration - 1))
+        << "op " << op;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, StoreModelTest,
                          ::testing::Range<uint64_t>(1, 9));
 

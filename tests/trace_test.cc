@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -88,6 +90,21 @@ TEST(TraceRecorderTest, CapCountsOverflowInsteadOfGrowing) {
   recorder.Clear();
   EXPECT_EQ(recorder.size(), 0u);
   EXPECT_EQ(recorder.dropped(), 0u);
+}
+
+// A trace line must stay JSON, which has no NaN or Inf: a probe that
+// samples one is refused on the spot, by name.
+TEST(TraceRecorderDeathTest, CounterRefusesNonFiniteValues) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EventLoop loop;
+  SimScheduler sched(&loop);
+  TraceRecorder recorder(&sched);
+  EXPECT_DEATH(recorder.Counter(trace_cat::kSeries, "queue_depth", 0,
+                                std::nan("")),
+               "trace counter queue_depth sampled the non-finite value");
+  EXPECT_DEATH(recorder.Counter(trace_cat::kSeries, "backlog", 0,
+                                -std::numeric_limits<double>::infinity()),
+               "trace counter backlog sampled the non-finite value");
 }
 
 TEST(TraceRecorderTest, FlowEndpointsCarryTheCauseId) {
