@@ -12,13 +12,17 @@
 //      fully-async execution of the same job (Table 2's axis), selected
 //      via JobConfig::consistency and measured through the engine
 //      observer's #updates / #prepares / #blocked counters.
+//
+// Every run is the SSSP branch drive of scenarios/sssp_branch_bounds.json
+// at 24000 tuples, with the knob under study overridden in memory; each
+// distinct configuration runs once and the sections share its result.
 
-#include <memory>
+#include <map>
 
 #include "bench/bench_util.h"
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "stream/graph_stream.h"
+#include "scenario/runner.h"
 
 namespace tornado {
 namespace bench {
@@ -34,28 +38,30 @@ struct Run {
   uint64_t blocked = 0;
 };
 
-Run RunOnce(uint64_t bound, double progress_period,
+/// The branch query's run of `base` at (bound, period, mode).
+Run RunOnce(const scenario::Scenario& base, uint64_t bound,
+            double progress_period,
             ConsistencyMode mode = ConsistencyMode::kBoundedAsync) {
-  JobConfig config = SsspJob(bound, /*batch_mode=*/true);
-  config.consistency = mode;
-  config.cost.progress_period = progress_period;
-  TornadoCluster cluster(config,
-                         std::make_unique<GraphStream>(BenchGraph(kTuples)));
-  cluster.Start();
+  scenario::Scenario s = base;
+  s.consistency.delay_bound = bound;
+  s.consistency.mode = mode;
+  s.cost["progress_period"] = progress_period;
+  int64_t msg0 = 0, upd0 = 0;
+  scenario::RunOptions hooks;
+  hooks.before_query = [&](TornadoCluster& cluster) {
+    msg0 = cluster.metrics().Get(metric::kMessagesSent);
+    upd0 = cluster.metrics().Get(metric::kUpdatesCommitted);
+  };
+  scenario::ScenarioRunner runner(std::move(s), std::move(hooks));
+  const scenario::ScenarioVerdict verdict = runner.Run();
   Run run;
-  if (!cluster.RunUntilEmitted(kTuples / 2, 3000.0)) return run;
-  cluster.ingester().Pause();
-  cluster.RunFor(0.5);
-
-  const int64_t msg0 = cluster.metrics().Get(metric::kMessagesSent);
-  const int64_t upd0 =
-      cluster.metrics().Get(metric::kUpdatesCommitted);
-  run.latency = MeasureQueryLatency(cluster);
-  run.messages =
-      cluster.metrics().Get(metric::kMessagesSent) - msg0;
-  run.updates =
-      cluster.metrics().Get(metric::kUpdatesCommitted) - upd0;
-  run.prepares = cluster.master().TotalPrepares(1);
+  if (!verdict.completed) return run;
+  TornadoCluster& cluster = *runner.cluster();
+  run.latency = verdict.query_latency;
+  run.messages = cluster.metrics().Get(metric::kMessagesSent) - msg0;
+  run.updates = cluster.metrics().Get(metric::kUpdatesCommitted) - upd0;
+  run.prepares = cluster.master().TotalPrepares(
+      cluster.BranchOf(cluster.master().queries().front().query_id));
   run.blocked = cluster.metrics().Get(metric::kUpdatesBlocked);
   return run;
 }
@@ -63,12 +69,17 @@ Run RunOnce(uint64_t bound, double progress_period,
 void Ablate() {
   PrintHeader("Ablation: delay bound, detector period, commit fan-out",
               "DESIGN.md design choices (no direct paper counterpart)");
+  scenario::Scenario base =
+      LoadBenchScenario(TORNADO_SCENARIO_DIR "/sssp_branch_bounds.json");
+  base.workload.tuples = kTuples;
+  base.drive.warmup_tuples = kTuples / 2;
 
   std::printf("(a) delay bound sweep (progress period 5 ms)\n");
   Table bounds({"B", "branch latency (s)", "#updates", "#prepares",
                 "blocked updates"});
+  std::map<uint64_t, Run> at_5ms;  // by bound; (b), (c) and (d) reuse it
   for (uint64_t bound : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 256u, 4096u}) {
-    Run run = RunOnce(bound, 5e-3);
+    const Run& run = at_5ms[bound] = RunOnce(base, bound, 5e-3);
     bounds.AddRow({Table::Int(bound), Table::Num(run.latency, 3),
                    Table::Int(run.updates), Table::Int(run.prepares),
                    Table::Int(run.blocked)});
@@ -78,14 +89,14 @@ void Ablate() {
   std::printf("\n(b) progress-collection period sweep (B = 64)\n");
   Table periods({"period (ms)", "branch latency (s)"});
   for (double period : {1e-3, 2e-3, 5e-3, 10e-3, 20e-3, 50e-3}) {
-    Run run = RunOnce(64, period);
+    const Run run = period == 5e-3 ? at_5ms[64] : RunOnce(base, 64, period);
     periods.AddRow({Table::Num(period * 1e3, 0), Table::Num(run.latency, 3)});
   }
   periods.Print();
 
   std::printf(
       "\n(c) commit fan-out: messages per committed update (B = 64)\n");
-  Run run = RunOnce(64, 5e-3);
+  const Run& run = at_5ms[64];
   if (run.updates > 0) {
     std::printf(
         "  %.2f messages per update (%llu messages, %llu updates) — the\n"
@@ -108,7 +119,9 @@ void Ablate() {
       {"fully-async", ConsistencyMode::kFullyAsync},
   };
   for (const auto& [name, mode] : kModes) {
-    Run run = RunOnce(8, 5e-3, mode);
+    const Run run = mode == ConsistencyMode::kBoundedAsync
+                        ? at_5ms[8]
+                        : RunOnce(base, 8, 5e-3, mode);
     modes.AddRow({name, Table::Num(run.latency, 3), Table::Int(run.updates),
                   Table::Int(run.prepares), Table::Int(run.blocked)});
   }
@@ -119,7 +132,8 @@ void Ablate() {
 }  // namespace bench
 }  // namespace tornado
 
-int main() {
+int main(int argc, char** argv) {
+  tornado::bench::ParseBenchArgs(argc, argv);
   tornado::SetLogLevel(tornado::LogLevel::kWarning);
   tornado::bench::Ablate();
   return 0;

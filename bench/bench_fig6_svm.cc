@@ -28,17 +28,6 @@ double ObjectiveOf(const std::vector<double>& w,
   return SgdProgram::Objective(SgdLoss::kSvmHinge, 1e-4, w, sample);
 }
 
-std::vector<SgdInstance> ReferenceSample(size_t count) {
-  InstanceStream stream(BenchDense(kTuples));
-  std::vector<SgdInstance> out;
-  while (auto tuple = stream.Next()) {
-    const auto& d = std::get<InstanceDelta>(tuple->delta);
-    out.push_back(SgdInstance{d.id, d.label, d.features});
-    if (out.size() >= count) break;
-  }
-  return out;
-}
-
 struct Series {
   std::vector<double> times;
   std::vector<double> errors;     // main-loop objective over time
@@ -62,7 +51,7 @@ Series RunRate(double rate_value, bool batch_mode) {
                          std::make_unique<InstanceStream>(BenchDense(kTuples)));
   cluster.Start();
 
-  const auto sample = ReferenceSample(2000);
+  const auto sample = ReferenceSample(BenchDense(kTuples), 2000);
   Series series;
   const double horizon = static_cast<double>(kTuples) / kRate;
   const int kSamples = 20;
@@ -121,7 +110,8 @@ void Run() {
 }  // namespace bench
 }  // namespace tornado
 
-int main() {
+int main(int argc, char** argv) {
+  tornado::bench::ParseBenchArgs(argc, argv);
   tornado::SetLogLevel(tornado::LogLevel::kWarning);
   tornado::bench::Run();
   return 0;

@@ -21,17 +21,6 @@ namespace {
 constexpr uint64_t kTuples = 24000;
 constexpr double kRate = 8000.0;
 
-std::vector<SgdInstance> ReferenceSample(size_t count) {
-  InstanceStream stream(BenchSparse(kTuples));
-  std::vector<SgdInstance> out;
-  while (auto tuple = stream.Next()) {
-    const auto& d = std::get<InstanceDelta>(tuple->delta);
-    out.push_back(SgdInstance{d.id, d.label, d.features});
-    if (out.size() >= count) break;
-  }
-  return out;
-}
-
 struct Trace {
   std::vector<double> times;
   std::vector<double> errors;
@@ -61,7 +50,8 @@ Trace RunSchedule(double descent_rate, DescentSchedule schedule) {
       config, std::make_unique<InstanceStream>(DriftingStream()));
   cluster.Start();
 
-  const auto sample = ReferenceSample(1500);  // early-stream reference
+  // Early-stream reference.
+  const auto sample = ReferenceSample(BenchSparse(kTuples), 1500);
   Trace trace;
   const double horizon = static_cast<double>(kTuples) / kRate;
   const int kSamples = 16;
@@ -116,7 +106,8 @@ void Run() {
 }  // namespace bench
 }  // namespace tornado
 
-int main() {
+int main(int argc, char** argv) {
+  tornado::bench::ParseBenchArgs(argc, argv);
   tornado::SetLogLevel(tornado::LogLevel::kWarning);
   tornado::bench::Run();
   return 0;

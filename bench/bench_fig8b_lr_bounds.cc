@@ -20,17 +20,6 @@ namespace {
 
 constexpr uint64_t kTuples = 16000;
 
-std::vector<SgdInstance> ReferenceSample(size_t count) {
-  InstanceStream stream(BenchSparse(kTuples));
-  std::vector<SgdInstance> out;
-  while (auto tuple = stream.Next()) {
-    const auto& d = std::get<InstanceDelta>(tuple->delta);
-    out.push_back(SgdInstance{d.id, d.label, d.features});
-    if (out.size() >= count) break;
-  }
-  return out;
-}
-
 struct Curve {
   std::vector<double> times;      // seconds since fork
   std::vector<double> objective;  // branch model objective
@@ -54,7 +43,7 @@ Curve RunBound(uint64_t bound) {
   cluster.ingester().Pause();
   cluster.RunFor(0.5);
 
-  const auto sample = ReferenceSample(1500);
+  const auto sample = ReferenceSample(BenchSparse(kTuples), 1500);
   const uint64_t query = cluster.ingester().SubmitQuery();
   const double start = cluster.now();
   bool done = false;
@@ -115,7 +104,8 @@ void Run() {
 }  // namespace bench
 }  // namespace tornado
 
-int main() {
+int main(int argc, char** argv) {
+  tornado::bench::ParseBenchArgs(argc, argv);
   tornado::SetLogLevel(tornado::LogLevel::kWarning);
   tornado::bench::Run();
   return 0;

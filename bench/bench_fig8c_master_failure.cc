@@ -1,137 +1,27 @@
 // Figure 8c: updates per second of an SSSP branch loop around a master
-// failure, under delay bounds 1, 64 and 65536 (the paper uses 256 as its middle
-// bound; our scaled-down branch needs ~80 iterations instead of 276, so 64
-// is the bound that exhausts mid-run the way the paper's 256 does).
+// failure, under delay bounds 1, 16 and 65536 (the paper uses 256 as its
+// middle bound; our scaled-down branch needs far fewer iterations, so 16 is
+// the bound that exhausts mid-run the way the paper's 256 does).
 //
 // Expected shape (paper): the synchronous loop (B=1) stops almost
 // immediately after the master dies (it depends on every termination
-// notification); B=256 keeps running until its updates hit the delay
-// bound, then stalls; the essentially-unbounded loop (B=65536) continues
-// as if nothing happened. All loops resume after the master recovers.
+// notification); the middle bound keeps running until its updates hit the
+// delay bound, then stalls; the essentially-unbounded loop (B=65536)
+// continues as if nothing happened. All loops resume after the master
+// recovers.
 //
-// The failure drive lives in scenarios/fig8c_master_failure.json; this
-// bench loads it, sweeps the delay bound in memory, and keeps only the
-// artifact plumbing (trace/series/JSON) and the table rendering.
-
-#include <cstdlib>
-#include <string>
-#include <vector>
+// The failure drive lives in scenarios/fig8c_master_failure.json; the
+// shared driver (RunFailureCurve, bench_util) sweeps the bound in memory.
 
 #include "bench/bench_util.h"
 #include "common/logging.h"
-#include "common/metrics.h"
-#include "scenario/runner.h"
-#include "scenario/scenario.h"
-#include "trace/time_series.h"
-#include "trace/trace_recorder.h"
-
-namespace tornado {
-namespace bench {
-namespace {
-
-constexpr char kScenarioFile[] =
-    TORNADO_SCENARIO_DIR "/fig8c_master_failure.json";
-
-/// One bound's run; artifact/JSON handling mirrors the fig 8d bench.
-std::vector<int64_t> RunBound(const scenario::Scenario& base, uint64_t bound,
-                              const BenchArgs* artifacts, BenchJson* json) {
-  scenario::Scenario s = base;
-  s.consistency.delay_bound = bound;
-  const bool want_trace =
-      artifacts != nullptr &&
-      (artifacts->WantsTrace() || !artifacts->series_path.empty());
-  scenario::RunOptions hooks;
-  if (want_trace) {
-    hooks.after_build = [](TornadoCluster& cluster) {
-      cluster.EnableTracing();
-      cluster.trace()->Pause();  // skip the warmup, trace the failure window
-    };
-    hooks.before_query = [](TornadoCluster& cluster) {
-      cluster.trace()->Resume();
-    };
-  }
-  scenario::ScenarioRunner runner(std::move(s), std::move(hooks));
-  scenario::ScenarioVerdict verdict = runner.Run();
-  if (!verdict.completed) return verdict.updates_per_bucket;
-
-  TornadoCluster& cluster = *runner.cluster();
-  if (want_trace) {
-    cluster.trace()->Pause();
-    if (artifacts->WantsTrace()) {
-      cluster.trace()->WriteChromeTraceFile(artifacts->trace_path);
-    }
-    if (!artifacts->series_path.empty()) {
-      cluster.sampler()->WriteCsvFile(artifacts->series_path);
-    }
-  }
-  if (json != nullptr) {
-    json->SetVirtualSeconds(cluster.now());
-    json->AddMetrics(cluster.metrics());
-  }
-  return verdict.updates_per_bucket;
-}
-
-void Run(const BenchArgs& args) {
-  scenario::Scenario base;
-  std::vector<std::string> errors;
-  if (!scenario::LoadScenarioFile(kScenarioFile, &base, &errors)) {
-    std::fprintf(stderr, "%s: invalid scenario\n", kScenarioFile);
-    for (const std::string& e : errors) {
-      std::fprintf(stderr, "  %s\n", e.c_str());
-    }
-    std::exit(2);
-  }
-  const double kill_after = base.timeline.at(0).at;
-  const double downtime = base.timeline.at(0).downtime;
-  const double bucket = base.drive.bucket_seconds;
-
-  PrintHeader("Branch-loop update rate around a master failure",
-              "Figure 8c");
-  std::printf(
-      "master killed %.1fs after the branch starts, recovers %.1fs later\n\n",
-      kill_after, downtime);
-
-  BenchJson json("fig8c_master_failure");
-  json.AddKnob("tuples", static_cast<double>(base.workload.tuples));
-  json.AddKnob("kill_after_seconds", kill_after);
-  json.AddKnob("downtime_seconds", downtime);
-  json.AddKnob("traced_bound", 16.0);
-
-  std::vector<std::vector<int64_t>> series;
-  for (uint64_t bound : {1u, 16u, 65536u}) {
-    const bool traced = bound == 16u;
-    series.push_back(RunBound(base, bound, traced ? &args : nullptr,
-                              traced ? &json : nullptr));
-    int64_t total = 0;
-    for (int64_t u : series.back()) total += u;
-    json.AddResult("updates_total_b" + std::to_string(bound),
-                   static_cast<double>(total));
-  }
-
-  Table table({"t since kill (s)", "B=1 (upd/s)", "B=16 (upd/s)",
-               "B=65536 (upd/s)"});
-  const size_t n = std::max(
-      {series[0].size(), series[1].size(), series[2].size()});
-  for (size_t i = 0; i < n; ++i) {
-    auto cell = [&](size_t s) {
-      return i < series[s].size()
-                 ? Table::Num(series[s][i] / bucket, 0)
-                 : std::string("-");
-    };
-    table.AddRow({Table::Num(static_cast<double>(i) * bucket - 0.0, 2),
-                  cell(0), cell(1), cell(2)});
-  }
-  table.Print();
-
-  if (!args.json_path.empty()) json.WriteFile(args.json_path);
-}
-
-}  // namespace
-}  // namespace bench
-}  // namespace tornado
 
 int main(int argc, char** argv) {
   tornado::SetLogLevel(tornado::LogLevel::kWarning);
-  tornado::bench::Run(tornado::bench::ParseBenchArgs(argc, argv));
+  tornado::bench::RunFailureCurve(
+      {TORNADO_SCENARIO_DIR "/fig8c_master_failure.json",
+       "Branch-loop update rate around a master failure", "Figure 8c",
+       "master", "fig8c_master_failure"},
+      tornado::bench::ParseBenchArgs(argc, argv, /*artifacts=*/true));
   return 0;
 }

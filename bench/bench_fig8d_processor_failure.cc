@@ -1,7 +1,6 @@
 // Figure 8d: updates per second of an SSSP branch loop around a single
-// processor failure, under delay bounds 1, 64 and 65536 (the paper uses 256 as its middle
-// bound; our scaled-down branch needs ~80 iterations instead of 276, so 64
-// is the bound that exhausts mid-run the way the paper's 256 does).
+// processor failure, under delay bounds 1, 16 and 65536 (the paper uses 256
+// as its middle bound; see bench_fig8c_master_failure.cc).
 //
 // Expected shape (paper): the synchronous loop stops shortly after the
 // failure (no iteration can terminate without the dead worker's
@@ -11,134 +10,18 @@
 // recovery rolls the loop back to the last terminated iteration and
 // throughput resumes.
 //
-// The failure drive lives in scenarios/fig8d_processor_failure.json; this
-// bench loads it, sweeps the delay bound in memory, and keeps only the
-// artifact plumbing (trace/series/JSON) and the table rendering.
-
-#include <cstdlib>
-#include <string>
-#include <vector>
+// The failure drive lives in scenarios/fig8d_processor_failure.json; the
+// shared driver (RunFailureCurve, bench_util) sweeps the bound in memory.
 
 #include "bench/bench_util.h"
 #include "common/logging.h"
-#include "common/metrics.h"
-#include "scenario/runner.h"
-#include "scenario/scenario.h"
-#include "trace/time_series.h"
-#include "trace/trace_recorder.h"
-
-namespace tornado {
-namespace bench {
-namespace {
-
-constexpr char kScenarioFile[] =
-    TORNADO_SCENARIO_DIR "/fig8d_processor_failure.json";
-
-/// One bound's run. When `artifacts` asks for them, the failure window is
-/// traced (warmup excluded so the interesting events fit the recorder) and
-/// exported; `json`, when given, receives the run's counters and times.
-std::vector<int64_t> RunBound(const scenario::Scenario& base, uint64_t bound,
-                              const BenchArgs* artifacts, BenchJson* json) {
-  scenario::Scenario s = base;
-  s.consistency.delay_bound = bound;
-  const bool want_trace =
-      artifacts != nullptr &&
-      (artifacts->WantsTrace() || !artifacts->series_path.empty());
-  scenario::RunOptions hooks;
-  if (want_trace) {
-    hooks.after_build = [](TornadoCluster& cluster) {
-      cluster.EnableTracing();
-      cluster.trace()->Pause();  // skip the warmup, trace the failure window
-    };
-    hooks.before_query = [](TornadoCluster& cluster) {
-      cluster.trace()->Resume();
-    };
-  }
-  scenario::ScenarioRunner runner(std::move(s), std::move(hooks));
-  scenario::ScenarioVerdict verdict = runner.Run();
-  if (!verdict.completed) return verdict.updates_per_bucket;
-
-  TornadoCluster& cluster = *runner.cluster();
-  if (want_trace) {
-    cluster.trace()->Pause();
-    if (artifacts->WantsTrace()) {
-      cluster.trace()->WriteChromeTraceFile(artifacts->trace_path);
-    }
-    if (!artifacts->series_path.empty()) {
-      cluster.sampler()->WriteCsvFile(artifacts->series_path);
-    }
-  }
-  if (json != nullptr) {
-    json->SetVirtualSeconds(cluster.now());
-    json->AddMetrics(cluster.metrics());
-  }
-  return verdict.updates_per_bucket;
-}
-
-void Run(const BenchArgs& args) {
-  scenario::Scenario base;
-  std::vector<std::string> errors;
-  if (!scenario::LoadScenarioFile(kScenarioFile, &base, &errors)) {
-    std::fprintf(stderr, "%s: invalid scenario\n", kScenarioFile);
-    for (const std::string& e : errors) {
-      std::fprintf(stderr, "  %s\n", e.c_str());
-    }
-    std::exit(2);
-  }
-  const double kill_after = base.timeline.at(0).at;
-  const double downtime = base.timeline.at(0).downtime;
-  const double bucket = base.drive.bucket_seconds;
-
-  PrintHeader("Branch-loop update rate around a processor failure",
-              "Figure 8d");
-  std::printf(
-      "one of 8 processors killed %.1fs after the branch starts, recovers "
-      "%.1fs later\n\n",
-      kill_after, downtime);
-
-  BenchJson json("fig8d_processor_failure");
-  json.AddKnob("tuples", static_cast<double>(base.workload.tuples));
-  json.AddKnob("kill_after_seconds", kill_after);
-  json.AddKnob("downtime_seconds", downtime);
-  json.AddKnob("traced_bound", 16.0);
-
-  // The middle bound is the paper's headline curve; it carries the trace
-  // and the JSON counters.
-  std::vector<std::vector<int64_t>> series;
-  for (uint64_t bound : {1u, 16u, 65536u}) {
-    const bool traced = bound == 16u;
-    series.push_back(RunBound(base, bound, traced ? &args : nullptr,
-                              traced ? &json : nullptr));
-    int64_t total = 0;
-    for (int64_t u : series.back()) total += u;
-    json.AddResult("updates_total_b" + std::to_string(bound),
-                   static_cast<double>(total));
-  }
-
-  Table table({"t since kill (s)", "B=1 (upd/s)", "B=16 (upd/s)",
-               "B=65536 (upd/s)"});
-  const size_t n =
-      std::max({series[0].size(), series[1].size(), series[2].size()});
-  for (size_t i = 0; i < n; ++i) {
-    auto cell = [&](size_t s) {
-      return i < series[s].size()
-                 ? Table::Num(series[s][i] / bucket, 0)
-                 : std::string("-");
-    };
-    table.AddRow({Table::Num(static_cast<double>(i) * bucket, 2), cell(0),
-                  cell(1), cell(2)});
-  }
-  table.Print();
-
-  if (!args.json_path.empty()) json.WriteFile(args.json_path);
-}
-
-}  // namespace
-}  // namespace bench
-}  // namespace tornado
 
 int main(int argc, char** argv) {
   tornado::SetLogLevel(tornado::LogLevel::kWarning);
-  tornado::bench::Run(tornado::bench::ParseBenchArgs(argc, argv));
+  tornado::bench::RunFailureCurve(
+      {TORNADO_SCENARIO_DIR "/fig8d_processor_failure.json",
+       "Branch-loop update rate around a processor failure", "Figure 8d",
+       "one of 8 processors", "fig8d_processor_failure"},
+      tornado::bench::ParseBenchArgs(argc, argv, /*artifacts=*/true));
   return 0;
 }

@@ -77,14 +77,9 @@ Measurement RunWorkload(const std::string& name, uint32_t workers) {
   if (name == "KMeans") {
     JobConfig config = KMeansJob(/*delay_bound=*/64);
     // Shard the points across all workers so compute actually spreads.
-    KMeansOptions kmeans;
-    kmeans.num_clusters = 10;
-    kmeans.num_shards = workers;
-    kmeans.dimensions = 20;
-    kmeans.move_tolerance = 1e-2;
+    KMeansOptions kmeans = workloads::KMeans(workers);
     kmeans.assign_cost = 4e-7;  // Postgres-era per-point cost (see Measure)
-    config.program = std::make_shared<KMeansProgram>(kmeans);
-    config.router = KMeansProgram::MakeRouter(kmeans);
+    workloads::UseKMeans(kmeans, &config);
     config.num_processors = workers;
     return Measure(std::move(config),
                    std::make_unique<PointStream>(BenchPoints(12000)), 12000);
@@ -93,16 +88,11 @@ Measurement RunWorkload(const std::string& name, uint32_t workers) {
   JobConfig config = SgdJob(SgdLoss::kSvmHinge, /*delay_bound=*/64,
                             /*descent_rate=*/0.05, DescentSchedule::kStatic,
                             /*batch_mode=*/true, /*sample_ratio=*/0.1);
-  SgdOptions sgd;
-  sgd.loss = SgdLoss::kSvmHinge;
-  sgd.num_shards = workers;
-  sgd.dimensions = 28;
+  SgdOptions sgd = workloads::Sgd(SgdLoss::kSvmHinge, workers);
   sgd.sample_ratio = 0.1;
   sgd.batch_mode = true;
-  sgd.descent_rate = 0.05;
   sgd.gradient_cost = 3e-8;
-  config.program = std::make_shared<SgdProgram>(sgd);
-  config.router = SgdProgram::MakeRouter(sgd);
+  workloads::UseSgd(sgd, &config);
   config.num_processors = workers;
   // Bound the GD run so per-sweep latencies are comparable; the paper's
   // SVM point is that the single parameter vertex gains nothing from more
@@ -156,7 +146,8 @@ void Run() {
 }  // namespace bench
 }  // namespace tornado
 
-int main() {
+int main(int argc, char** argv) {
+  tornado::bench::ParseBenchArgs(argc, argv);
   tornado::SetLogLevel(tornado::LogLevel::kWarning);
   tornado::bench::Run();
   return 0;

@@ -111,9 +111,7 @@ std::vector<Cell> RunTornado(MakeConfig make_config, MakeStream make_stream,
 
 void PrintWorkload(const std::string& name,
                    const std::vector<std::vector<Cell>>& rows) {
-  static const char* kSystems[] = {"Spark", "GraphLab", "Naiad", "Tornado"};
   Table table({"Program", "Spark", "GraphLab", "Naiad", "Tornado"});
-  (void)kSystems;
   for (size_t f = 0; f < kFractions.size(); ++f) {
     std::vector<std::string> row = {
         name + ", " + Table::Int(static_cast<uint64_t>(
@@ -232,7 +230,8 @@ void Run() {
 }  // namespace bench
 }  // namespace tornado
 
-int main() {
+int main(int argc, char** argv) {
+  tornado::bench::ParseBenchArgs(argc, argv);
   tornado::SetLogLevel(tornado::LogLevel::kWarning);
   tornado::bench::Run();
   return 0;

@@ -9,6 +9,9 @@
 #include <fstream>
 
 #include "common/json.h"
+#include "scenario/runner.h"
+#include "trace/time_series.h"
+#include "trace/trace_recorder.h"
 
 namespace tornado {
 namespace bench {
@@ -30,17 +33,18 @@ void AddAll(const Map& entries, JsonValue* object) {
   }
 }
 
-[[noreturn]] void UsageError(const char* program, const std::string& problem) {
-  std::fprintf(stderr,
-               "%s: %s\n"
-               "usage: %s [--json PATH] [--trace-out PATH] "
-               "[--series-out PATH]\n",
-               program, problem.c_str(), program);
+[[noreturn]] void UsageError(const char* program, bool artifacts,
+                             const std::string& problem) {
+  std::fprintf(stderr, "%s: %s\nusage: %s%s\n", program, problem.c_str(),
+               program,
+               artifacts
+                   ? " [--json PATH] [--trace-out PATH] [--series-out PATH]"
+                   : "");
   std::exit(2);
 }
 }  // namespace
 
-BenchArgs ParseBenchArgs(int argc, char** argv) {
+BenchArgs ParseBenchArgs(int argc, char** argv, bool artifacts) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -48,13 +52,28 @@ BenchArgs ParseBenchArgs(int argc, char** argv) {
                           : flag == "--trace-out"  ? &args.trace_path
                           : flag == "--series-out" ? &args.series_path
                                                    : nullptr;
-    if (target == nullptr) UsageError(argv[0], "unknown flag '" + flag + "'");
+    if (!artifacts || target == nullptr) {
+      UsageError(argv[0], artifacts, "unknown flag '" + flag + "'");
+    }
     if (i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-      UsageError(argv[0], flag + " needs a PATH value");
+      UsageError(argv[0], artifacts, flag + " needs a PATH value");
     }
     *target = argv[++i];
   }
   return args;
+}
+
+scenario::Scenario LoadBenchScenario(const std::string& path) {
+  scenario::Scenario s;
+  std::vector<std::string> errors;
+  if (!scenario::LoadScenarioFile(path, &s, &errors)) {
+    std::fprintf(stderr, "%s: invalid scenario\n", path.c_str());
+    for (const std::string& e : errors) {
+      std::fprintf(stderr, "  %s\n", e.c_str());
+    }
+    std::exit(2);
+  }
+  return s;
 }
 
 BenchJson::BenchJson(std::string bench)
@@ -180,51 +199,6 @@ void PrintHeader(const std::string& title, const std::string& paper_ref) {
               paper_ref.c_str());
 }
 
-GraphStreamOptions BenchGraph(uint64_t tuples, uint64_t seed) {
-  GraphStreamOptions options;
-  options.num_vertices = tuples / 4;
-  options.num_tuples = tuples;
-  options.preferential = 0.6;
-  options.deletion_ratio = 0.04;
-  options.source_hub_weight = 40;  // vertex 0 is the SSSP source
-  options.seed = seed;
-  return options;
-}
-
-PointStreamOptions BenchPoints(uint64_t tuples, uint64_t seed) {
-  PointStreamOptions options;
-  options.dimensions = 20;
-  options.num_clusters = 10;
-  options.num_tuples = tuples;
-  options.cluster_spread = 2.0;
-  options.space_extent = 100.0;
-  options.seed = seed;
-  return options;
-}
-
-InstanceStreamOptions BenchDense(uint64_t tuples, uint64_t seed) {
-  InstanceStreamOptions options;
-  options.dimensions = 28;  // HIGGS-like
-  options.num_tuples = tuples;
-  options.label_noise = 0.05;
-  options.concept_drift = 1e-4;
-  options.seed = seed;
-  return options;
-}
-
-InstanceStreamOptions BenchSparse(uint64_t tuples, uint64_t seed) {
-  InstanceStreamOptions options;
-  options.dimensions = 400;  // PubMed-like bag-of-words, scaled down
-  options.num_tuples = tuples;
-  options.sparse = true;
-  options.sparsity_nnz = 40;
-  options.zipf_exponent = 1.1;
-  options.label_noise = 0.05;
-  options.concept_drift = 1e-4;
-  options.seed = seed;
-  return options;
-}
-
 namespace {
 JobConfig BaseConfig(uint64_t delay_bound) {
   JobConfig config;
@@ -240,29 +214,19 @@ JobConfig BaseConfig(uint64_t delay_bound) {
 
 JobConfig SsspJob(uint64_t delay_bound, bool batch_mode) {
   JobConfig config = BaseConfig(delay_bound);
-  config.program =
-      std::make_shared<SsspProgram>(kBenchSsspSource, batch_mode);
+  workloads::UseSssp(batch_mode, &config);
   return config;
 }
 
 JobConfig PageRankJob(uint64_t delay_bound) {
   JobConfig config = BaseConfig(delay_bound);
-  config.program = std::make_shared<PageRankProgram>(0.85, 1e-3);
+  workloads::UsePageRank(&config);
   return config;
 }
 
 JobConfig KMeansJob(uint64_t delay_bound) {
   JobConfig config = BaseConfig(delay_bound);
-  KMeansOptions kmeans;
-  kmeans.num_clusters = 10;
-  kmeans.num_shards = 8;
-  kmeans.dimensions = 20;
-  kmeans.move_tolerance = 1e-2;
-  config.program = std::make_shared<KMeansProgram>(kmeans);
-  config.router = KMeansProgram::MakeRouter(kmeans);
-  config.convergence.epsilon = 1e-2;
-  config.convergence.window = 2;
-  config.convergence.max_iterations = 400;
+  workloads::UseKMeans(workloads::KMeans(config.num_processors), &config);
   return config;
 }
 
@@ -270,22 +234,25 @@ JobConfig SgdJob(SgdLoss loss, uint64_t delay_bound, double descent_rate,
                  DescentSchedule schedule, bool batch_mode,
                  double sample_ratio) {
   JobConfig config = BaseConfig(delay_bound);
-  SgdOptions sgd;
-  sgd.loss = loss;
-  sgd.num_shards = 8;
-  sgd.dimensions = loss == SgdLoss::kSvmHinge ? 28 : 400;
+  SgdOptions sgd = workloads::Sgd(loss, config.num_processors);
   sgd.sample_ratio = sample_ratio;
-  sgd.reservoir_capacity = 1500;
   sgd.schedule = schedule;
   sgd.descent_rate = descent_rate;
   sgd.batch_mode = batch_mode;
-  config.program = std::make_shared<SgdProgram>(sgd);
-  config.router = SgdProgram::MakeRouter(sgd);
-  config.convergence.quiescence = true;
-  config.convergence.epsilon = 1e-4;
-  config.convergence.window = 4;
-  config.convergence.max_iterations = 3000;
+  workloads::UseSgd(sgd, &config);
   return config;
+}
+
+std::vector<SgdInstance> ReferenceSample(const InstanceStreamOptions& stream,
+                                         size_t count) {
+  InstanceStream source(stream);
+  std::vector<SgdInstance> out;
+  while (auto tuple = source.Next()) {
+    const auto& d = std::get<InstanceDelta>(tuple->delta);
+    out.push_back(SgdInstance{d.id, d.label, d.features});
+    if (out.size() >= count) break;
+  }
+  return out;
 }
 
 double MeasureQueryLatency(TornadoCluster& cluster, double timeout) {
@@ -372,6 +339,99 @@ Histogram RunApproximateSeries(const JobConfig& base_config,
     if (latency >= 0.0) latencies.Add(latency);
   }
   return latencies;
+}
+
+namespace {
+/// One bound's failure run. When `artifacts` asks for them, the failure
+/// window is traced (warmup excluded so the interesting events fit the
+/// recorder) and exported; `json`, when given, receives the run's counters
+/// and times.
+std::vector<int64_t> RunFailureBound(const scenario::Scenario& base,
+                                     uint64_t bound,
+                                     const BenchArgs* artifacts,
+                                     BenchJson* json) {
+  scenario::Scenario s = base;
+  s.consistency.delay_bound = bound;
+  const bool want_trace =
+      artifacts != nullptr &&
+      (artifacts->WantsTrace() || !artifacts->series_path.empty());
+  scenario::RunOptions hooks;
+  if (want_trace) {
+    hooks.after_build = [](TornadoCluster& cluster) {
+      cluster.EnableTracing();
+      cluster.trace()->Pause();  // skip the warmup, trace the failure window
+    };
+    hooks.before_query = [](TornadoCluster& cluster) {
+      cluster.trace()->Resume();
+    };
+  }
+  scenario::ScenarioRunner runner(std::move(s), std::move(hooks));
+  scenario::ScenarioVerdict verdict = runner.Run();
+  if (!verdict.completed) return verdict.updates_per_bucket;
+
+  TornadoCluster& cluster = *runner.cluster();
+  if (want_trace) {
+    cluster.trace()->Pause();
+    if (artifacts->WantsTrace()) {
+      cluster.trace()->WriteChromeTraceFile(artifacts->trace_path);
+    }
+    if (!artifacts->series_path.empty()) {
+      cluster.sampler()->WriteCsvFile(artifacts->series_path);
+    }
+  }
+  if (json != nullptr) {
+    json->SetVirtualSeconds(cluster.now());
+    json->AddMetrics(cluster.metrics());
+  }
+  return verdict.updates_per_bucket;
+}
+}  // namespace
+
+void RunFailureCurve(const FailureCurve& curve, const BenchArgs& args) {
+  const scenario::Scenario base = LoadBenchScenario(curve.scenario_path);
+  const double kill_after = base.timeline.at(0).at;
+  const double downtime = base.timeline.at(0).downtime;
+  const double bucket = base.drive.bucket_seconds;
+
+  PrintHeader(curve.title, curve.figure);
+  std::printf(
+      "%s killed %.1fs after the branch starts, recovers %.1fs later\n\n",
+      curve.killed, kill_after, downtime);
+
+  BenchJson json(curve.json_name);
+  json.AddKnob("tuples", static_cast<double>(base.workload.tuples));
+  json.AddKnob("kill_after_seconds", kill_after);
+  json.AddKnob("downtime_seconds", downtime);
+  json.AddKnob("traced_bound", 16.0);
+
+  // The middle bound is the paper's headline curve; it carries the trace
+  // and the JSON counters.
+  std::vector<std::vector<int64_t>> series;
+  for (uint64_t bound : {1u, 16u, 65536u}) {
+    const bool traced = bound == 16u;
+    series.push_back(RunFailureBound(base, bound, traced ? &args : nullptr,
+                                     traced ? &json : nullptr));
+    int64_t total = 0;
+    for (int64_t u : series.back()) total += u;
+    json.AddResult("updates_total_b" + std::to_string(bound),
+                   static_cast<double>(total));
+  }
+
+  Table table({"t since kill (s)", "B=1 (upd/s)", "B=16 (upd/s)",
+               "B=65536 (upd/s)"});
+  const size_t n =
+      std::max({series[0].size(), series[1].size(), series[2].size()});
+  for (size_t i = 0; i < n; ++i) {
+    auto cell = [&](size_t s) {
+      return i < series[s].size() ? Table::Num(series[s][i] / bucket, 0)
+                                  : std::string("-");
+    };
+    table.AddRow({Table::Num(static_cast<double>(i) * bucket, 2), cell(0),
+                  cell(1), cell(2)});
+  }
+  table.Print();
+
+  if (!args.json_path.empty()) json.WriteFile(args.json_path);
 }
 
 std::vector<double> ReadSgdWeights(const TornadoCluster& cluster,

@@ -14,8 +14,10 @@
 #include "algos/pagerank.h"
 #include "algos/sgd.h"
 #include "algos/sssp.h"
+#include "algos/workloads.h"
 #include "common/histogram.h"
 #include "core/cluster.h"
+#include "scenario/scenario.h"
 #include "stream/graph_stream.h"
 #include "stream/instance_stream.h"
 #include "stream/point_stream.h"
@@ -41,17 +43,29 @@ class Table {
 
 void PrintHeader(const std::string& title, const std::string& paper_ref);
 
-/// Canonical workload scales used across the benches. These are the
-/// scaled-down stand-ins for the paper's datasets (Table 1); DESIGN.md
-/// documents the substitution.
-GraphStreamOptions BenchGraph(uint64_t tuples = 40000, uint64_t seed = 42);
-PointStreamOptions BenchPoints(uint64_t tuples = 20000, uint64_t seed = 7);
-InstanceStreamOptions BenchDense(uint64_t tuples = 20000, uint64_t seed = 13);
-InstanceStreamOptions BenchSparse(uint64_t tuples = 20000, uint64_t seed = 13);
+/// The canonical workload scales (algos/workloads.h), with the seeds the
+/// figures use by default.
+inline GraphStreamOptions BenchGraph(uint64_t tuples = 40000,
+                                     uint64_t seed = 42) {
+  return workloads::Graph(tuples, seed);
+}
+inline PointStreamOptions BenchPoints(uint64_t tuples = 20000,
+                                      uint64_t seed = 7) {
+  return workloads::Points(tuples, seed);
+}
+inline InstanceStreamOptions BenchDense(uint64_t tuples = 20000,
+                                        uint64_t seed = 13) {
+  return workloads::Dense(tuples, seed);
+}
+inline InstanceStreamOptions BenchSparse(uint64_t tuples = 20000,
+                                         uint64_t seed = 13) {
+  return workloads::Sparse(tuples, seed);
+}
 
-inline constexpr VertexId kBenchSsspSource = 0;
+inline constexpr VertexId kBenchSsspSource = workloads::kSsspSource;
 
-/// Job configurations wired to the canonical workloads.
+/// Job configurations wired to the canonical workloads: the catalogue's
+/// program defaults on the figures' 8-processor, 4-host cluster.
 JobConfig SsspJob(uint64_t delay_bound, bool batch_mode = false);
 JobConfig PageRankJob(uint64_t delay_bound);
 JobConfig KMeansJob(uint64_t delay_bound);
@@ -59,18 +73,25 @@ JobConfig SgdJob(SgdLoss loss, uint64_t delay_bound, double descent_rate,
                  DescentSchedule schedule = DescentSchedule::kStatic,
                  bool batch_mode = false, double sample_ratio = 0.01);
 
+/// The first `count` instances of `stream`: the reference sample the SGD
+/// figures evaluate the model's objective on.
+std::vector<SgdInstance> ReferenceSample(const InstanceStreamOptions& stream,
+                                         size_t count);
+
 /// Runs the cluster until `count` tuples are ingested, then submits a
 /// query and returns its latency (virtual seconds), or -1 on timeout.
 /// The latency is also observed into the cluster's
 /// metric::kQueryLatency distribution so bench JSON reports p50/p95/max.
 double MeasureQueryLatency(TornadoCluster& cluster, double timeout = 3000.0);
 
-/// Common bench command-line flags (docs/OBSERVABILITY.md):
+/// The bench command line. A bench that writes artifacts accepts
+/// (docs/OBSERVABILITY.md):
 ///   --json <path>        machine-readable run result (JSON)
 ///   --trace-out <path>   Chrome trace-event JSON of the traced window
 ///   --series-out <path>  sampler time-series CSV
-/// Any other argument, or a flag without its value, prints a usage line
-/// to stderr and exits 2 before any work.
+/// and every other bench accepts no argument. Any argument the bench does
+/// not accept, or a flag without its value, prints a usage line to stderr
+/// and exits 2 before any work.
 struct BenchArgs {
   std::string json_path;
   std::string trace_path;
@@ -78,7 +99,24 @@ struct BenchArgs {
 
   bool WantsTrace() const { return !trace_path.empty(); }
 };
-BenchArgs ParseBenchArgs(int argc, char** argv);
+BenchArgs ParseBenchArgs(int argc, char** argv, bool artifacts = false);
+
+/// Loads a scenario file (docs/SCENARIOS.md) for a bench to drive; an
+/// invalid file prints its errors to stderr and exits 2.
+scenario::Scenario LoadBenchScenario(const std::string& path);
+
+/// Figures 8c and 8d: the update rate of an SSSP branch loop around the
+/// failure that `scenario_path` scripts, swept over delay bounds 1, 16 and
+/// 65536 in memory. The B = 16 run carries the --trace-out/--series-out
+/// artifacts (failure window only) and the --json counters.
+struct FailureCurve {
+  const char* scenario_path;
+  const char* title;
+  const char* figure;
+  const char* killed;  // what the kill line names
+  const char* json_name;
+};
+void RunFailureCurve(const FailureCurve& curve, const BenchArgs& args);
 
 /// Accumulates one bench run's machine-readable result and writes it as a
 /// single JSON object (pretty-printed by JsonWrite, common/json.h):

@@ -108,6 +108,29 @@ TEST(ScenarioRunnerTest, RateOverrideRestoresConfiguredRateExactly) {
   EXPECT_EQ(va.counters, vb.counters);
 }
 
+TEST(ScenarioRunnerTest, SsspBranchBoundsCorpusReproducesTable2) {
+  // Table 2's B = 1 row, as bench_sssp_branch_bounds prints it from the
+  // same corpus file.
+  Scenario scenario;
+  std::vector<std::string> errors;
+  ASSERT_TRUE(LoadScenarioFile(
+      std::string(TORNADO_SCENARIO_CORPUS) + "/sssp_branch_bounds.json",
+      &scenario, &errors));
+  ASSERT_EQ(scenario.consistency.delay_bound, 1u);
+  ScenarioRunner runner(std::move(scenario));
+  const ScenarioVerdict verdict = runner.Run();
+  ASSERT_TRUE(verdict.fixed_point_reached) << verdict.Summary();
+  EXPECT_TRUE(verdict.invariants_held) << verdict.Summary();
+
+  TornadoCluster& cluster = *runner.cluster();
+  const QueryRecord& query = cluster.master().queries().front();
+  const LoopId branch = cluster.BranchOf(query.query_id);
+  EXPECT_EQ(query.converged_iteration + 1, 14u);
+  EXPECT_EQ(cluster.master().TotalCommitted(branch), 17724u);
+  EXPECT_EQ(cluster.master().TotalPrepares(branch), 0u);
+  EXPECT_NEAR(verdict.query_latency, 0.238, 5e-4);
+}
+
 }  // namespace
 }  // namespace scenario
 }  // namespace tornado
