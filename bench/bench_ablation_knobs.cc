@@ -46,11 +46,12 @@ Run RunOnce(const scenario::Scenario& base, uint64_t bound,
   s.consistency.delay_bound = bound;
   s.consistency.mode = mode;
   s.cost["progress_period"] = progress_period;
-  int64_t msg0 = 0, upd0 = 0;
+  int64_t msg0 = 0, upd0 = 0, blk0 = 0;
   scenario::RunOptions hooks;
   hooks.before_query = [&](TornadoCluster& cluster) {
     msg0 = cluster.metrics().Get(metric::kMessagesSent);
     upd0 = cluster.metrics().Get(metric::kUpdatesCommitted);
+    blk0 = cluster.metrics().Get(metric::kUpdatesBlocked);
   };
   scenario::ScenarioRunner runner(std::move(s), std::move(hooks));
   const scenario::ScenarioVerdict verdict = runner.Run();
@@ -62,7 +63,7 @@ Run RunOnce(const scenario::Scenario& base, uint64_t bound,
   run.updates = cluster.metrics().Get(metric::kUpdatesCommitted) - upd0;
   run.prepares = cluster.master().TotalPrepares(
       cluster.BranchOf(cluster.master().queries().front().query_id));
-  run.blocked = cluster.metrics().Get(metric::kUpdatesBlocked);
+  run.blocked = cluster.metrics().Get(metric::kUpdatesBlocked) - blk0;
   return run;
 }
 

@@ -15,25 +15,6 @@ namespace scenario {
 
 namespace {
 
-/// Cost knobs the mutator perturbs, with their CostModel defaults as the
-/// scaling anchor (a knob is always default x [0.5, 2], so mutants stay
-/// inside a physically plausible band).
-struct CostKnob {
-  const char* name;
-  double default_value;
-};
-std::vector<CostKnob> MutableCostKnobs() {
-  const CostModel defaults;
-  return {
-      {"net_latency", defaults.net_latency},
-      {"nic_wire_time", defaults.nic_wire_time},
-      {"per_message_cpu", defaults.per_message_cpu},
-      {"per_update_cpu", defaults.per_update_cpu},
-      {"flush_base_cost", defaults.flush_base_cost},
-      {"ack_timeout", defaults.ack_timeout},
-  };
-}
-
 NodeRef RandomProcessor(const Scenario& s, Rng* rng) {
   NodeRef ref;
   ref.kind = NodeRef::Kind::kProcessor;
@@ -97,9 +78,15 @@ Scenario MutateScenario(const Scenario& base, Rng* rng) {
         break;
       }
       case 5: {
-        const std::vector<CostKnob> knobs = MutableCostKnobs();
-        const CostKnob& knob = knobs[rng->NextUint64(knobs.size())];
-        m.cost[knob.name] = knob.default_value * rng->NextDouble(0.5, 2.0);
+        // A mutable cost knob, scaled from its CostModel default so the
+        // mutant stays inside a physically plausible band.
+        std::vector<const CostField*> knobs;
+        for (const CostField& field : kCostFields) {
+          if (field.mutable_knob) knobs.push_back(&field);
+        }
+        const CostField& knob = *knobs[rng->NextUint64(knobs.size())];
+        m.cost[knob.name] =
+            CostModel{}.*knob.member * rng->NextDouble(0.5, 2.0);
         break;
       }
       case 6: {

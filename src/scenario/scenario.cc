@@ -1,36 +1,217 @@
 #include "scenario/scenario.h"
 
+#include <array>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
-#include "sim/cost_model.h"
+#include "common/logging.h"
 
 namespace tornado {
 namespace scenario {
 
 namespace {
 
-/// The CostModel fields a scenario may override, in declaration order.
-struct CostField {
+// ---- The schema: one table per section, one name table per enum ----------
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr Range kAny{};
+constexpr Range kNonNegative{0.0};
+constexpr Range In(double lo, double hi) { return {lo, hi}; }
+constexpr Range AtMost(double hi) { return {-kInf, hi}; }
+constexpr bool kRequired = true;
+
+/// Above 2^53 - 1 a JSON number (a double) no longer holds every integer.
+constexpr double kMaxExactInteger = 9007199254740991.0;
+
+/// One row of a section's schema: a JSON key bound to a member of `S`.
+template <typename S>
+struct Field {
+  const char* key;
+  std::variant<uint64_t S::*, uint32_t S::*, double S::*, bool S::*,
+               std::string S::*, NodeRef S::*, std::vector<NodeRef> S::*,
+               ScenarioWorkload::Kind S::*, ConsistencyMode S::*,
+               TimelineAction::Kind S::*, SubstrateBackend S::*>
+      member;
+  Range range = kAny;  // numbers only
+  bool required = false;
+};
+
+template <typename E>
+struct EnumName {
+  E value;
   const char* name;
-  double CostModel::* member;
 };
-constexpr CostField kCostFields[] = {
-    {"net_latency", &CostModel::net_latency},
-    {"net_jitter", &CostModel::net_jitter},
-    {"nic_wire_time", &CostModel::nic_wire_time},
-    {"local_latency", &CostModel::local_latency},
-    {"per_message_cpu", &CostModel::per_message_cpu},
-    {"per_update_cpu", &CostModel::per_update_cpu},
-    {"store_write_cost", &CostModel::store_write_cost},
-    {"flush_base_cost", &CostModel::flush_base_cost},
-    {"flush_per_version", &CostModel::flush_per_version},
-    {"ack_timeout", &CostModel::ack_timeout},
-    {"ack_timeout_max", &CostModel::ack_timeout_max},
-    {"progress_period", &CostModel::progress_period},
+
+constexpr EnumName<ScenarioWorkload::Kind> kWorkloadKinds[] = {
+    {ScenarioWorkload::Kind::kSssp, "sssp"},
+    {ScenarioWorkload::Kind::kPageRank, "pagerank"},
+    {ScenarioWorkload::Kind::kKMeans, "kmeans"},
+    {ScenarioWorkload::Kind::kSgdSvm, "sgd_svm"},
+    {ScenarioWorkload::Kind::kSgdLr, "sgd_lr"},
 };
+constexpr EnumName<ConsistencyMode> kConsistencyModes[] = {
+    {ConsistencyMode::kBoundedAsync, "bounded_async"},
+    {ConsistencyMode::kSynchronous, "synchronous"},
+    {ConsistencyMode::kFullyAsync, "fully_async"},
+};
+/// The thread backend is not scriptable (see Scenario::backend).
+constexpr EnumName<SubstrateBackend> kBackends[] = {
+    {SubstrateBackend::kSim, "sim"},
+    {SubstrateBackend::kParSim, "par_sim"},
+};
+
+constexpr Field<Scenario> kScenarioFields[] = {
+    {"name", &Scenario::name, kAny, kRequired},
+    {"description", &Scenario::description},
+    {"seed", &Scenario::seed},
+    {"backend", &Scenario::backend},
+    {"shards", &Scenario::shards, In(1, 64)},
+};
+constexpr Field<ScenarioCluster> kClusterFields[] = {
+    {"processors", &ScenarioCluster::processors, In(1, 256)},
+    {"hosts", &ScenarioCluster::hosts, In(1, 256)},
+};
+constexpr Field<ScenarioWorkload> kWorkloadFields[] = {
+    {"kind", &ScenarioWorkload::kind, kAny, kRequired},
+    {"tuples", &ScenarioWorkload::tuples, In(100, 10000000)},
+    {"rate", &ScenarioWorkload::rate, kPositive},
+    {"batch", &ScenarioWorkload::batch, In(1, 100000)},
+    {"batch_mode", &ScenarioWorkload::batch_mode},
+    {"stream_seed", &ScenarioWorkload::stream_seed},
+};
+constexpr Field<ScenarioConsistency> kConsistencyFields[] = {
+    {"mode", &ScenarioConsistency::mode},
+    {"delay_bound", &ScenarioConsistency::delay_bound, In(1, 1000000)},
+};
+constexpr Field<ScenarioDrive> kDriveFields[] = {
+    {"warmup_tuples", &ScenarioDrive::warmup_tuples},
+    {"warmup_timeout", &ScenarioDrive::warmup_timeout, kPositive},
+    {"pause_ingest", &ScenarioDrive::pause_ingest},
+    {"settle_seconds", &ScenarioDrive::settle_seconds, kNonNegative},
+    {"query_at_start", &ScenarioDrive::query_at_start},
+    {"sample_start_seconds", &ScenarioDrive::sample_start_seconds,
+     kNonNegative},
+    {"bucket_seconds", &ScenarioDrive::bucket_seconds, kPositive},
+    {"sample_count", &ScenarioDrive::sample_count, AtMost(100000)},
+    {"wait_for_query", &ScenarioDrive::wait_for_query},
+    {"query_timeout", &ScenarioDrive::query_timeout, kPositive},
+};
+constexpr Field<ScenarioChaos> kChaosFields[] = {
+    {"commit_regression_after", &ScenarioChaos::commit_regression_after,
+     kNonNegative},
+};
+
+/// Every timeline action has these; its kind decides the operands.
+constexpr Field<TimelineAction> kActionFields[] = {
+    {"action", &TimelineAction::kind, kAny, kRequired},
+    {"at", &TimelineAction::at, kNonNegative, kRequired},
+};
+constexpr Field<TimelineAction> kNode{"node", &TimelineAction::node, kAny,
+                                      kRequired};
+constexpr Field<TimelineAction> kSrc{"src", &TimelineAction::src, kAny,
+                                     kRequired};
+constexpr Field<TimelineAction> kDst{"dst", &TimelineAction::dst, kAny,
+                                     kRequired};
+constexpr Field<TimelineAction> kSide{"side", &TimelineAction::side, kAny,
+                                      kRequired};
+constexpr Field<TimelineAction> kDowntime{"downtime", &TimelineAction::downtime,
+                                          kPositive, kRequired};
+constexpr Field<TimelineAction> kFactor{"factor", &TimelineAction::factor,
+                                        kPositive, kRequired};
+constexpr Field<TimelineAction> kRate{"rate", &TimelineAction::rate,
+                                      kPositive, kRequired};
+
+/// Each action kind's name and operands, in read and write order.
+struct ActionName {
+  TimelineAction::Kind value;
+  const char* name;
+  std::array<const Field<TimelineAction>*, 2> operands;
+};
+constexpr ActionName kActionKinds[] = {
+    {TimelineAction::Kind::kKill, "kill", {&kNode}},
+    {TimelineAction::Kind::kRecover, "recover", {&kNode}},
+    {TimelineAction::Kind::kCrashRestart, "crash_restart",
+     {&kNode, &kDowntime}},
+    {TimelineAction::Kind::kDropLink, "drop_link", {&kSrc, &kDst}},
+    {TimelineAction::Kind::kRestoreLink, "restore_link", {&kSrc, &kDst}},
+    {TimelineAction::Kind::kPartition, "partition", {&kSide}},
+    {TimelineAction::Kind::kHealPartition, "heal_partition", {&kSide}},
+    {TimelineAction::Kind::kSlowNode, "slow_node", {&kNode, &kFactor}},
+    {TimelineAction::Kind::kRestoreSpeed, "restore_speed", {&kNode}},
+    {TimelineAction::Kind::kSetRate, "set_rate", {&kRate}},
+    {TimelineAction::Kind::kRestoreRate, "restore_rate", {}},
+};
+
+constexpr const auto& Names(ScenarioWorkload::Kind) { return kWorkloadKinds; }
+constexpr const auto& Names(ConsistencyMode) { return kConsistencyModes; }
+constexpr const auto& Names(SubstrateBackend) { return kBackends; }
+constexpr const auto& Names(TimelineAction::Kind) { return kActionKinds; }
+
+/// "a, b or c", each name wrapped in `quote`.
+template <typename Table>
+std::string Choices(const Table& table, const std::string& quote = "") {
+  std::string out;
+  for (size_t i = 0; i < std::size(table); ++i) {
+    if (i > 0) out += i + 1 == std::size(table) ? " or " : ", ";
+    out += quote + table[i].name + quote;
+  }
+  return out;
+}
+
+std::string UnknownName(ScenarioWorkload::Kind, const std::string& name) {
+  return "unknown workload \"" + name + "\" (want " +
+         Choices(kWorkloadKinds) + ")";
+}
+std::string UnknownName(ConsistencyMode, const std::string& name) {
+  return "unknown mode \"" + name + "\" (want " + Choices(kConsistencyModes) +
+         ")";
+}
+std::string UnknownName(SubstrateBackend, const std::string&) {
+  return "must be " + Choices(kBackends, "\"");
+}
+std::string UnknownName(TimelineAction::Kind, const std::string& name) {
+  return "unknown action \"" + name + "\"";
+}
+
+/// The name-table row of `value`.
+template <typename E>
+const auto& RowOf(E value) {
+  const auto& table = Names(value);
+  for (const auto& row : table) {
+    if (row.value == value) return row;
+  }
+  TCHECK(false) << "no schema name for enum value " << static_cast<int>(value);
+  return table[0];
+}
+
+bool InRange(const Range& range, double v) {
+  return (range.lo_open ? v > range.lo : v >= range.lo) &&
+         (range.hi_open ? v < range.hi : v <= range.hi);
+}
+
+/// "must be > 0", "must be in [1, 256]", "must be <= 100000", ...
+std::string RangeMessage(const Range& range) {
+  // Every finite bound in the schema is an integer.
+  auto bound = [](double v) {
+    return std::to_string(static_cast<int64_t>(v));
+  };
+  if (std::isfinite(range.lo) && std::isfinite(range.hi)) {
+    return std::string("must be in ") + (range.lo_open ? "(" : "[") +
+           bound(range.lo) + ", " + bound(range.hi) +
+           (range.hi_open ? ")" : "]");
+  }
+  if (std::isfinite(range.lo)) {
+    return std::string("must be ") + (range.lo_open ? "> " : ">= ") +
+           bound(range.lo);
+  }
+  return std::string("must be ") + (range.hi_open ? "< " : "<= ") +
+         bound(range.hi);
+}
+
+// ---- The reader -----------------------------------------------------------
 
 /// Collects validation errors as "path: message" lines and keeps going,
 /// so one pass reports every problem in the document.
@@ -41,108 +222,9 @@ class Errors {
   void Add(const std::string& path, const std::string& message) {
     out_->push_back(path + ": " + message);
   }
-  bool ok() const { return out_->empty(); }
 
  private:
   std::vector<std::string>* out_;
-};
-
-/// Typed member access over one JSON object with dotted-path error
-/// reporting and strict unknown-field rejection.
-class ObjectReader {
- public:
-  ObjectReader(const JsonValue& value, std::string path, Errors* errors)
-      : value_(value), path_(std::move(path)), errors_(errors) {
-    if (!value_.is_object()) {
-      errors_->Add(path_, "expected object");
-      valid_ = false;
-    }
-  }
-
-  bool valid() const { return valid_; }
-  const std::string& path() const { return path_; }
-
-  const JsonValue* Claim(const std::string& key) {
-    if (!valid_) return nullptr;
-    claimed_.push_back(key);
-    return value_.Find(key);
-  }
-
-  std::string MemberPath(const std::string& key) const {
-    return path_ + "." + key;
-  }
-
-  /// Reports any member not claimed by the section parser.
-  void RejectUnknown() {
-    if (!valid_) return;
-    for (const auto& [key, unused] : value_.object) {
-      (void)unused;
-      bool known = false;
-      for (const std::string& c : claimed_) {
-        if (c == key) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) errors_->Add(MemberPath(key), "unknown field");
-    }
-  }
-
-  void ReadString(const std::string& key, std::string* out,
-                  bool required = false) {
-    const JsonValue* v = Claim(key);
-    if (v == nullptr) {
-      if (required) errors_->Add(MemberPath(key), "missing required field");
-      return;
-    }
-    if (!v->is_string()) {
-      errors_->Add(MemberPath(key), "expected string");
-      return;
-    }
-    *out = v->string_value;
-  }
-
-  void ReadBool(const std::string& key, bool* out) {
-    const JsonValue* v = Claim(key);
-    if (v == nullptr) return;
-    if (!v->is_bool()) {
-      errors_->Add(MemberPath(key), "expected boolean");
-      return;
-    }
-    *out = v->bool_value;
-  }
-
-  /// A finite JSON number; range checks are the caller's.
-  bool ReadDouble(const std::string& key, double* out) {
-    const JsonValue* v = Claim(key);
-    if (v == nullptr) return false;
-    if (!v->is_number()) {
-      errors_->Add(MemberPath(key), "expected number");
-      return false;
-    }
-    *out = v->number;
-    return true;
-  }
-
-  /// A non-negative integer-valued number (counts, seeds, indexes).
-  bool ReadUint(const std::string& key, uint64_t* out) {
-    const JsonValue* v = Claim(key);
-    if (v == nullptr) return false;
-    if (!v->is_number() || v->number != std::floor(v->number) ||
-        v->number < 0) {
-      errors_->Add(MemberPath(key), "expected non-negative integer");
-      return false;
-    }
-    *out = static_cast<uint64_t>(v->number);
-    return true;
-  }
-
- private:
-  const JsonValue& value_;
-  std::string path_;
-  Errors* errors_;
-  std::vector<std::string> claimed_;
-  bool valid_ = true;
 };
 
 bool ParseNodeRefString(const std::string& text, NodeRef* out) {
@@ -171,401 +253,222 @@ bool ParseNodeRefString(const std::string& text, NodeRef* out) {
   return false;
 }
 
-/// Parses and bounds-checks one node reference against the cluster shape.
-void ReadNodeRef(ObjectReader* reader, const std::string& key,
-                 const ScenarioCluster& cluster, Errors* errors, NodeRef* out,
-                 bool required = true) {
-  const JsonValue* v = reader->Claim(key);
-  if (v == nullptr) {
-    if (required) {
-      errors->Add(reader->MemberPath(key), "missing required field");
+/// Typed member access over one JSON object through schema rows, with
+/// dotted-path error reporting and strict unknown-field rejection. A field
+/// that fails validation keeps its default.
+class ObjectReader {
+ public:
+  /// `processors` bounds the processor indexes of node references.
+  ObjectReader(const JsonValue& value, std::string path, Errors* errors,
+               uint32_t processors = 0)
+      : value_(value),
+        path_(std::move(path)),
+        errors_(errors),
+        processors_(processors) {
+    if (!value_.is_object()) {
+      errors_->Add(path_, "expected object");
+      valid_ = false;
     }
-    return;
   }
-  if (!v->is_string()) {
-    errors->Add(reader->MemberPath(key),
-                "expected node reference string "
-                "(\"processor:N\", \"master\" or \"ingester\")");
-    return;
-  }
-  NodeRef ref;
-  if (!ParseNodeRefString(v->string_value, &ref)) {
-    errors->Add(reader->MemberPath(key),
-                "invalid node reference \"" + v->string_value +
-                    "\" (want \"processor:N\", \"master\" or \"ingester\")");
-    return;
-  }
-  if (ref.kind == NodeRef::Kind::kProcessor &&
-      ref.index >= cluster.processors) {
-    errors->Add(reader->MemberPath(key),
-                "processor index " + std::to_string(ref.index) +
-                    " out of range (cluster has " +
-                    std::to_string(cluster.processors) + " processors)");
-    return;
-  }
-  *out = ref;
-}
 
-void ParseClusterSection(const JsonValue& value, const std::string& path,
-                         Errors* errors, ScenarioCluster* out) {
-  ObjectReader reader(value, path, errors);
-  if (!reader.valid()) return;
-  uint64_t processors = out->processors, hosts = out->hosts;
-  if (reader.ReadUint("processors", &processors)) {
-    if (processors < 1 || processors > 256) {
-      errors->Add(reader.MemberPath("processors"), "must be in [1, 256]");
-    } else {
-      out->processors = static_cast<uint32_t>(processors);
-    }
+  bool valid() const { return valid_; }
+
+  const JsonValue* Claim(const std::string& key) {
+    if (!valid_) return nullptr;
+    claimed_.push_back(key);
+    return value_.Find(key);
   }
-  if (reader.ReadUint("hosts", &hosts)) {
-    if (hosts < 1 || hosts > 256) {
-      errors->Add(reader.MemberPath("hosts"), "must be in [1, 256]");
-    } else {
-      out->hosts = static_cast<uint32_t>(hosts);
-    }
+
+  std::string MemberPath(const std::string& key) const {
+    return path_ + "." + key;
   }
-  if (const JsonValue* speeds = reader.Claim("processor_speeds")) {
-    if (!speeds->is_array()) {
-      errors->Add(reader.MemberPath("processor_speeds"), "expected array");
-    } else if (speeds->array.size() > out->processors) {
-      errors->Add(reader.MemberPath("processor_speeds"),
-                  "more entries than processors");
-    } else {
-      for (size_t i = 0; i < speeds->array.size(); ++i) {
-        const JsonValue& s = speeds->array[i];
-        const std::string item =
-            reader.MemberPath("processor_speeds") + "[" + std::to_string(i) +
-            "]";
-        if (!s.is_number()) {
-          errors->Add(item, "expected number");
-        } else if (s.number <= 0.0) {
-          errors->Add(item, "must be > 0");
-        } else {
-          out->processor_speeds.push_back(s.number);
+
+  /// Reports any member not claimed by the section parser.
+  void RejectUnknown() {
+    if (!valid_) return;
+    for (const auto& [key, unused] : value_.object) {
+      (void)unused;
+      bool known = false;
+      for (const std::string& c : claimed_) {
+        if (c == key) {
+          known = true;
+          break;
         }
       }
+      if (!known) errors_->Add(MemberPath(key), "unknown field");
     }
   }
-  reader.RejectUnknown();
-}
 
-void ParseCostSection(const JsonValue& value, const std::string& path,
-                      Errors* errors, std::map<std::string, double>* out) {
-  ObjectReader reader(value, path, errors);
-  if (!reader.valid()) return;
-  for (const CostField& field : kCostFields) {
-    double v = 0.0;
-    if (reader.ReadDouble(field.name, &v)) {
-      if (v <= 0.0 && std::string(field.name) != "net_jitter") {
-        errors->Add(reader.MemberPath(field.name), "must be > 0");
-      } else if (std::string(field.name) == "net_jitter" &&
-                 (v < 0.0 || v >= 1.0)) {
-        errors->Add(reader.MemberPath(field.name), "must be in [0, 1)");
-      } else {
-        (*out)[field.name] = v;
+  /// Reads one row into `*out`; false when absent or invalid.
+  template <typename S>
+  bool ReadField(const Field<S>& field, S* out) {
+    const JsonValue* v = Take(field.key, field.required);
+    if (v == nullptr) return false;
+    return std::visit(
+        [&](auto member) {
+          return Convert(*v, field.key, field.range, &(out->*member));
+        },
+        field.member);
+  }
+
+  template <typename S, size_t N>
+  void ReadFields(const Field<S> (&fields)[N], S* out) {
+    for (const Field<S>& field : fields) ReadField(field, out);
+  }
+
+  /// Reads member object `key` through `fields`.
+  template <typename S, size_t N>
+  void ReadSection(const std::string& key, const Field<S> (&fields)[N],
+                   S* out, bool required = false) {
+    const JsonValue* v = Take(key, required);
+    if (v == nullptr) return;
+    ObjectReader section(*v, MemberPath(key), errors_);
+    section.ReadFields(fields, out);
+    section.RejectUnknown();
+  }
+
+  // One converter per member type: each reports at `key` and leaves `*out`
+  // alone on failure.
+  bool Convert(const JsonValue& v, const std::string& key, const Range&,
+               std::string* out) {
+    if (!v.is_string()) return Fail(key, "expected string");
+    *out = v.string_value;
+    return true;
+  }
+  bool Convert(const JsonValue& v, const std::string& key, const Range&,
+               bool* out) {
+    if (!v.is_bool()) return Fail(key, "expected boolean");
+    *out = v.bool_value;
+    return true;
+  }
+  bool Convert(const JsonValue& v, const std::string& key,
+               const Range& range, double* out) {
+    if (!v.is_number()) return Fail(key, "expected number");
+    if (!InRange(range, v.number)) return Fail(key, RangeMessage(range));
+    *out = v.number;
+    return true;
+  }
+  bool Convert(const JsonValue& v, const std::string& key,
+               const Range& range, uint64_t* out) {
+    if (!v.is_number() || v.number != std::floor(v.number) || v.number < 0) {
+      return Fail(key, "expected non-negative integer");
+    }
+    if (!InRange(range, v.number)) return Fail(key, RangeMessage(range));
+    if (v.number > kMaxExactInteger) {
+      return Fail(key, RangeMessage(AtMost(kMaxExactInteger)));
+    }
+    *out = static_cast<uint64_t>(v.number);
+    return true;
+  }
+  /// Every uint32_t row's range lies inside uint32_t.
+  bool Convert(const JsonValue& v, const std::string& key,
+               const Range& range, uint32_t* out) {
+    uint64_t wide = 0;
+    if (!Convert(v, key, range, &wide)) return false;
+    *out = static_cast<uint32_t>(wide);
+    return true;
+  }
+  template <typename E>
+    requires std::is_enum_v<E>
+  bool Convert(const JsonValue& v, const std::string& key, const Range&,
+               E* out) {
+    if (!v.is_string()) return Fail(key, "expected string");
+    for (const auto& row : Names(E{})) {
+      if (v.string_value == row.name) {
+        *out = row.value;
+        return true;
       }
     }
+    return Fail(key, UnknownName(E{}, v.string_value));
   }
-  reader.RejectUnknown();
-}
+  bool Convert(const JsonValue& v, const std::string& key, const Range&,
+               NodeRef* out) {
+    return ResolveNodeRef(v, MemberPath(key), /*hint=*/true, out);
+  }
+  bool Convert(const JsonValue& v, const std::string& key, const Range&,
+               std::vector<NodeRef>* out) {
+    if (!v.is_array() || v.array.empty()) {
+      return Fail(key, "expected non-empty array");
+    }
+    bool ok = true;
+    for (size_t i = 0; i < v.array.size(); ++i) {
+      NodeRef ref;
+      if (ResolveNodeRef(v.array[i],
+                         MemberPath(key) + "[" + std::to_string(i) + "]",
+                         /*hint=*/false, &ref)) {
+        out->push_back(ref);
+      } else {
+        ok = false;
+      }
+    }
+    return ok;
+  }
 
-void ParseWorkloadSection(const JsonValue& value, const std::string& path,
-                          Errors* errors, ScenarioWorkload* out) {
-  ObjectReader reader(value, path, errors);
-  if (!reader.valid()) return;
-  std::string kind;
-  reader.ReadString("kind", &kind, /*required=*/true);
-  if (kind == "sssp") {
-    out->kind = ScenarioWorkload::Kind::kSssp;
-  } else if (kind == "pagerank") {
-    out->kind = ScenarioWorkload::Kind::kPageRank;
-  } else if (kind == "kmeans") {
-    out->kind = ScenarioWorkload::Kind::kKMeans;
-  } else if (kind == "sgd_svm") {
-    out->kind = ScenarioWorkload::Kind::kSgdSvm;
-  } else if (kind == "sgd_lr") {
-    out->kind = ScenarioWorkload::Kind::kSgdLr;
-  } else if (!kind.empty()) {
-    errors->Add(reader.MemberPath("kind"),
-                "unknown workload \"" + kind +
-                    "\" (want sssp, pagerank, kmeans, sgd_svm or sgd_lr)");
-  }
-  uint64_t tuples = out->tuples;
-  if (reader.ReadUint("tuples", &tuples)) {
-    if (tuples < 100 || tuples > 10000000) {
-      errors->Add(reader.MemberPath("tuples"),
-                  "must be in [100, 10000000]");
-    } else {
-      out->tuples = tuples;
+ private:
+  /// Claim, reporting a missing `required` member.
+  const JsonValue* Take(const std::string& key, bool required) {
+    const JsonValue* v = Claim(key);
+    if (v == nullptr && required && valid_) {
+      Fail(key, "missing required field");
     }
+    return v;
   }
-  double rate = out->rate;
-  if (reader.ReadDouble("rate", &rate)) {
-    if (rate <= 0.0) {
-      errors->Add(reader.MemberPath("rate"), "must be > 0");
-    } else {
-      out->rate = rate;
-    }
-  }
-  uint64_t batch = out->batch;
-  if (reader.ReadUint("batch", &batch)) {
-    if (batch < 1 || batch > 100000) {
-      errors->Add(reader.MemberPath("batch"), "must be in [1, 100000]");
-    } else {
-      out->batch = static_cast<uint32_t>(batch);
-    }
-  }
-  reader.ReadBool("batch_mode", &out->batch_mode);
-  reader.ReadUint("stream_seed", &out->stream_seed);
-  reader.RejectUnknown();
-}
 
-void ParseConsistencySection(const JsonValue& value, const std::string& path,
-                             Errors* errors, ScenarioConsistency* out) {
-  ObjectReader reader(value, path, errors);
-  if (!reader.valid()) return;
-  std::string mode;
-  reader.ReadString("mode", &mode);
-  if (mode == "bounded_async") {
-    out->mode = ConsistencyMode::kBoundedAsync;
-  } else if (mode == "synchronous") {
-    out->mode = ConsistencyMode::kSynchronous;
-  } else if (mode == "fully_async") {
-    out->mode = ConsistencyMode::kFullyAsync;
-  } else if (!mode.empty()) {
-    errors->Add(reader.MemberPath("mode"),
-                "unknown mode \"" + mode +
-                    "\" (want bounded_async, synchronous or fully_async)");
+  bool Fail(const std::string& key, const std::string& message) {
+    errors_->Add(MemberPath(key), message);
+    return false;
   }
-  uint64_t bound = out->delay_bound;
-  if (reader.ReadUint("delay_bound", &bound)) {
-    if (bound < 1 || bound > 1000000) {
-      errors->Add(reader.MemberPath("delay_bound"),
-                  "must be in [1, 1000000]");
-    } else {
-      out->delay_bound = bound;
-    }
-  }
-  reader.RejectUnknown();
-}
 
-void ParseDriveSection(const JsonValue& value, const std::string& path,
-                       Errors* errors, ScenarioDrive* out) {
-  ObjectReader reader(value, path, errors);
-  if (!reader.valid()) return;
-  reader.ReadUint("warmup_tuples", &out->warmup_tuples);
-  double d = 0.0;
-  if (reader.ReadDouble("warmup_timeout", &d)) {
-    if (d <= 0.0) {
-      errors->Add(reader.MemberPath("warmup_timeout"), "must be > 0");
-    } else {
-      out->warmup_timeout = d;
+  /// One node reference, bounds-checked against the cluster shape; `hint`
+  /// names the accepted forms in the messages.
+  bool ResolveNodeRef(const JsonValue& v, const std::string& path, bool hint,
+                      NodeRef* out) {
+    const std::string forms = "\"processor:N\", \"master\" or \"ingester\"";
+    if (!v.is_string()) {
+      errors_->Add(path, "expected node reference string" +
+                             (hint ? " (" + forms + ")" : ""));
+      return false;
     }
-  }
-  reader.ReadBool("pause_ingest", &out->pause_ingest);
-  if (reader.ReadDouble("settle_seconds", &d)) {
-    if (d < 0.0) {
-      errors->Add(reader.MemberPath("settle_seconds"), "must be >= 0");
-    } else {
-      out->settle_seconds = d;
+    NodeRef ref;
+    if (!ParseNodeRefString(v.string_value, &ref)) {
+      errors_->Add(path, "invalid node reference \"" + v.string_value + "\"" +
+                             (hint ? " (want " + forms + ")" : ""));
+      return false;
     }
-  }
-  reader.ReadBool("query_at_start", &out->query_at_start);
-  if (reader.ReadDouble("sample_start_seconds", &d)) {
-    if (d < 0.0) {
-      errors->Add(reader.MemberPath("sample_start_seconds"), "must be >= 0");
-    } else {
-      out->sample_start_seconds = d;
+    if (ref.kind == NodeRef::Kind::kProcessor && ref.index >= processors_) {
+      errors_->Add(path, "processor index " + std::to_string(ref.index) +
+                             " out of range (cluster has " +
+                             std::to_string(processors_) + " processors)");
+      return false;
     }
+    *out = ref;
+    return true;
   }
-  if (reader.ReadDouble("bucket_seconds", &d)) {
-    if (d <= 0.0) {
-      errors->Add(reader.MemberPath("bucket_seconds"), "must be > 0");
-    } else {
-      out->bucket_seconds = d;
-    }
-  }
-  uint64_t count = out->sample_count;
-  if (reader.ReadUint("sample_count", &count)) {
-    if (count > 100000) {
-      errors->Add(reader.MemberPath("sample_count"),
-                  "must be <= 100000");
-    } else {
-      out->sample_count = static_cast<uint32_t>(count);
-    }
-  }
-  reader.ReadBool("wait_for_query", &out->wait_for_query);
-  if (reader.ReadDouble("query_timeout", &d)) {
-    if (d <= 0.0) {
-      errors->Add(reader.MemberPath("query_timeout"), "must be > 0");
-    } else {
-      out->query_timeout = d;
-    }
-  }
-  reader.RejectUnknown();
-}
+
+  const JsonValue& value_;
+  std::string path_;
+  Errors* errors_;
+  uint32_t processors_;
+  std::vector<std::string> claimed_;
+  bool valid_ = true;
+};
 
 void ParseTimelineAction(const JsonValue& value, const std::string& path,
-                         const ScenarioCluster& cluster, Errors* errors,
+                         uint32_t processors, Errors* errors,
                          TimelineAction* out) {
-  ObjectReader reader(value, path, errors);
+  ObjectReader reader(value, path, errors, processors);
   if (!reader.valid()) return;
-  std::string action;
-  reader.ReadString("action", &action, /*required=*/true);
-  double at = 0.0;
-  if (reader.ReadDouble("at", &at)) {
-    if (at < 0.0) {
-      errors->Add(reader.MemberPath("at"), "must be >= 0");
-    } else {
-      out->at = at;
+  const bool known = reader.ReadField(kActionFields[0], out);
+  reader.ReadField(kActionFields[1], out);
+  if (known) {
+    for (const Field<TimelineAction>* operand : RowOf(out->kind).operands) {
+      if (operand != nullptr) reader.ReadField(*operand, out);
     }
-  } else if (value.Find("at") == nullptr) {
-    errors->Add(reader.MemberPath("at"), "missing required field");
-  }
-
-  using Kind = TimelineAction::Kind;
-  if (action == "kill") {
-    out->kind = Kind::kKill;
-  } else if (action == "recover") {
-    out->kind = Kind::kRecover;
-  } else if (action == "crash_restart") {
-    out->kind = Kind::kCrashRestart;
-  } else if (action == "drop_link") {
-    out->kind = Kind::kDropLink;
-  } else if (action == "restore_link") {
-    out->kind = Kind::kRestoreLink;
-  } else if (action == "partition") {
-    out->kind = Kind::kPartition;
-  } else if (action == "heal_partition") {
-    out->kind = Kind::kHealPartition;
-  } else if (action == "slow_node") {
-    out->kind = Kind::kSlowNode;
-  } else if (action == "restore_speed") {
-    out->kind = Kind::kRestoreSpeed;
-  } else if (action == "set_rate") {
-    out->kind = Kind::kSetRate;
-  } else if (action == "restore_rate") {
-    out->kind = Kind::kRestoreRate;
-  } else {
-    if (!action.empty()) {
-      errors->Add(reader.MemberPath("action"),
-                  "unknown action \"" + action + "\"");
-    }
-    reader.RejectUnknown();
-    return;
-  }
-
-  switch (out->kind) {
-    case Kind::kKill:
-    case Kind::kRecover:
-    case Kind::kRestoreSpeed:
-      ReadNodeRef(&reader, "node", cluster, errors, &out->node);
-      break;
-    case Kind::kCrashRestart: {
-      ReadNodeRef(&reader, "node", cluster, errors, &out->node);
-      double downtime = 0.0;
-      if (reader.ReadDouble("downtime", &downtime)) {
-        if (downtime <= 0.0) {
-          errors->Add(reader.MemberPath("downtime"), "must be > 0");
-        } else {
-          out->downtime = downtime;
-        }
-      } else if (value.Find("downtime") == nullptr) {
-        errors->Add(reader.MemberPath("downtime"), "missing required field");
-      }
-      break;
-    }
-    case Kind::kDropLink:
-    case Kind::kRestoreLink:
-      ReadNodeRef(&reader, "src", cluster, errors, &out->src);
-      ReadNodeRef(&reader, "dst", cluster, errors, &out->dst);
-      if (value.Find("src") != nullptr && value.Find("dst") != nullptr &&
-          out->src == out->dst) {
-        errors->Add(reader.path(), "src and dst must differ");
-      }
-      break;
-    case Kind::kPartition:
-    case Kind::kHealPartition: {
-      const JsonValue* side = reader.Claim("side");
-      if (side == nullptr) {
-        errors->Add(reader.MemberPath("side"), "missing required field");
-        break;
-      }
-      if (!side->is_array() || side->array.empty()) {
-        errors->Add(reader.MemberPath("side"), "expected non-empty array");
-        break;
-      }
-      for (size_t i = 0; i < side->array.size(); ++i) {
-        const std::string item =
-            reader.MemberPath("side") + "[" + std::to_string(i) + "]";
-        const JsonValue& entry = side->array[i];
-        if (!entry.is_string()) {
-          errors->Add(item, "expected node reference string");
-          continue;
-        }
-        NodeRef ref;
-        if (!ParseNodeRefString(entry.string_value, &ref)) {
-          errors->Add(item, "invalid node reference \"" + entry.string_value +
-                                "\"");
-          continue;
-        }
-        if (ref.kind == NodeRef::Kind::kProcessor &&
-            ref.index >= cluster.processors) {
-          errors->Add(item, "processor index " + std::to_string(ref.index) +
-                                " out of range (cluster has " +
-                                std::to_string(cluster.processors) +
-                                " processors)");
-          continue;
-        }
-        out->side.push_back(ref);
-      }
-      break;
-    }
-    case Kind::kSlowNode: {
-      ReadNodeRef(&reader, "node", cluster, errors, &out->node);
-      double factor = 0.0;
-      if (reader.ReadDouble("factor", &factor)) {
-        if (factor <= 0.0) {
-          errors->Add(reader.MemberPath("factor"), "must be > 0");
-        } else {
-          out->factor = factor;
-        }
-      } else if (value.Find("factor") == nullptr) {
-        errors->Add(reader.MemberPath("factor"), "missing required field");
-      }
-      break;
-    }
-    case Kind::kSetRate: {
-      double rate = 0.0;
-      if (reader.ReadDouble("rate", &rate)) {
-        if (rate <= 0.0) {
-          errors->Add(reader.MemberPath("rate"), "must be > 0");
-        } else {
-          out->rate = rate;
-        }
-      } else if (value.Find("rate") == nullptr) {
-        errors->Add(reader.MemberPath("rate"), "missing required field");
-      }
-      break;
-    }
-    case Kind::kRestoreRate:
-      break;
-  }
-  reader.RejectUnknown();
-}
-
-void ParseChaosSection(const JsonValue& value, const std::string& path,
-                       Errors* errors, ScenarioChaos* out) {
-  ObjectReader reader(value, path, errors);
-  if (!reader.valid()) return;
-  double after = 0.0;
-  if (reader.ReadDouble("commit_regression_after", &after)) {
-    if (after < 0.0) {
-      errors->Add(reader.MemberPath("commit_regression_after"),
-                  "must be >= 0");
-    } else {
-      out->commit_regression_after = after;
+    const bool link = out->kind == TimelineAction::Kind::kDropLink ||
+                      out->kind == TimelineAction::Kind::kRestoreLink;
+    if (link && value.Find("src") != nullptr &&
+        value.Find("dst") != nullptr && out->src == out->dst) {
+      errors->Add(path, "src and dst must differ");
     }
   }
   reader.RejectUnknown();
@@ -588,6 +491,36 @@ void ParseProvenanceSection(const JsonValue& value, const std::string& path,
   }
 }
 
+// ---- The writer -----------------------------------------------------------
+
+JsonValue ToJson(const NodeRef& ref) { return JsonValue::Of(ref.ToString()); }
+JsonValue ToJson(const std::vector<NodeRef>& refs) {
+  JsonValue out = JsonValue::MakeArray();
+  for (const NodeRef& ref : refs) out.array.push_back(ToJson(ref));
+  return out;
+}
+template <typename T>
+JsonValue ToJson(const T& value) {
+  if constexpr (std::is_enum_v<T>) {
+    return JsonValue::Of(RowOf(value).name);
+  } else {
+    return JsonValue::Of(value);
+  }
+}
+
+template <typename S>
+void WriteField(const Field<S>& field, const S& in, JsonValue* out) {
+  std::visit([&](auto member) { out->Add(field.key, ToJson(in.*member)); },
+             field.member);
+}
+
+template <typename S, size_t N>
+JsonValue WriteFields(const Field<S> (&fields)[N], const S& in) {
+  JsonValue out = JsonValue::MakeObject();
+  for (const Field<S>& field : fields) WriteField(field, in, &out);
+  return out;
+}
+
 }  // namespace
 
 std::string NodeRef::ToString() const {
@@ -602,62 +535,6 @@ std::string NodeRef::ToString() const {
   return "?";
 }
 
-const char* WorkloadKindName(ScenarioWorkload::Kind kind) {
-  switch (kind) {
-    case ScenarioWorkload::Kind::kSssp:
-      return "sssp";
-    case ScenarioWorkload::Kind::kPageRank:
-      return "pagerank";
-    case ScenarioWorkload::Kind::kKMeans:
-      return "kmeans";
-    case ScenarioWorkload::Kind::kSgdSvm:
-      return "sgd_svm";
-    case ScenarioWorkload::Kind::kSgdLr:
-      return "sgd_lr";
-  }
-  return "?";
-}
-
-const char* ActionKindName(TimelineAction::Kind kind) {
-  switch (kind) {
-    case TimelineAction::Kind::kKill:
-      return "kill";
-    case TimelineAction::Kind::kRecover:
-      return "recover";
-    case TimelineAction::Kind::kCrashRestart:
-      return "crash_restart";
-    case TimelineAction::Kind::kDropLink:
-      return "drop_link";
-    case TimelineAction::Kind::kRestoreLink:
-      return "restore_link";
-    case TimelineAction::Kind::kPartition:
-      return "partition";
-    case TimelineAction::Kind::kHealPartition:
-      return "heal_partition";
-    case TimelineAction::Kind::kSlowNode:
-      return "slow_node";
-    case TimelineAction::Kind::kRestoreSpeed:
-      return "restore_speed";
-    case TimelineAction::Kind::kSetRate:
-      return "set_rate";
-    case TimelineAction::Kind::kRestoreRate:
-      return "restore_rate";
-  }
-  return "?";
-}
-
-const char* ConsistencyModeName(ConsistencyMode mode) {
-  switch (mode) {
-    case ConsistencyMode::kBoundedAsync:
-      return "bounded_async";
-    case ConsistencyMode::kSynchronous:
-      return "synchronous";
-    case ConsistencyMode::kFullyAsync:
-      return "fully_async";
-  }
-  return "?";
-}
-
 bool ParseScenario(const JsonValue& root, Scenario* out,
                    std::vector<std::string>* errors) {
   errors->clear();
@@ -666,56 +543,56 @@ bool ParseScenario(const JsonValue& root, Scenario* out,
   ObjectReader reader(root, "scenario", &errs);
   if (!reader.valid()) return false;
 
-  reader.ReadString("name", &out->name, /*required=*/true);
-  if (!out->name.empty()) {
-    for (char c : out->name) {
-      if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' &&
-          c != '-') {
-        errs.Add("scenario.name",
-                 "must contain only [A-Za-z0-9_-] (used as a test name)");
-        break;
-      }
-    }
-  }
-  reader.ReadString("description", &out->description);
-  reader.ReadUint("seed", &out->seed);
-  std::string backend = "sim";
-  reader.ReadString("backend", &backend);
-  if (backend == "sim") {
-    out->backend = SubstrateBackend::kSim;
-  } else if (backend == "par_sim") {
-    out->backend = SubstrateBackend::kParSim;
-  } else {
-    errs.Add("scenario.backend", "must be \"sim\" or \"par_sim\"");
-  }
-  uint64_t shards = 0;
-  if (reader.ReadUint("shards", &shards)) {
-    if (shards < 1 || shards > 64) {
-      errs.Add("scenario.shards", "must be in [1, 64]");
-    } else {
-      out->shards = shards;
+  reader.ReadFields(kScenarioFields, out);
+  for (char c : out->name) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' && c != '-') {
+      errs.Add("scenario.name",
+               "must contain only [A-Za-z0-9_-] (used as a test name)");
+      break;
     }
   }
 
   // Cluster first: node references downstream validate against its shape.
   if (const JsonValue* v = reader.Claim("cluster")) {
-    ParseClusterSection(*v, "scenario.cluster", &errs, &out->cluster);
+    ObjectReader cluster(*v, "scenario.cluster", &errs);
+    cluster.ReadFields(kClusterFields, &out->cluster);
+    if (const JsonValue* speeds = cluster.Claim("processor_speeds")) {
+      const std::string path = cluster.MemberPath("processor_speeds");
+      if (!speeds->is_array()) {
+        errs.Add(path, "expected array");
+      } else if (speeds->array.size() > out->cluster.processors) {
+        errs.Add(path, "more entries than processors");
+      } else {
+        for (size_t i = 0; i < speeds->array.size(); ++i) {
+          const JsonValue& speed = speeds->array[i];
+          const std::string item = path + "[" + std::to_string(i) + "]";
+          if (!speed.is_number()) {
+            errs.Add(item, "expected number");
+          } else if (speed.number <= 0.0) {
+            errs.Add(item, "must be > 0");
+          } else {
+            out->cluster.processor_speeds.push_back(speed.number);
+          }
+        }
+      }
+    }
+    cluster.RejectUnknown();
   }
   if (const JsonValue* v = reader.Claim("cost")) {
-    ParseCostSection(*v, "scenario.cost", &errs, &out->cost);
+    ObjectReader cost(*v, "scenario.cost", &errs);
+    for (const CostField& field : kCostFields) {
+      const JsonValue* member = cost.Claim(field.name);
+      double value = 0.0;
+      if (member != nullptr &&
+          cost.Convert(*member, field.name, field.range, &value)) {
+        out->cost[field.name] = value;
+      }
+    }
+    cost.RejectUnknown();
   }
-  if (const JsonValue* v = reader.Claim("workload")) {
-    ParseWorkloadSection(*v, "scenario.workload", &errs, &out->workload);
-  } else {
-    errs.Add("scenario.workload", "missing required field");
-  }
-  if (const JsonValue* v = reader.Claim("consistency")) {
-    ParseConsistencySection(*v, "scenario.consistency", &errs,
-                            &out->consistency);
-  }
-  if (const JsonValue* v = reader.Claim("drive")) {
-    ParseDriveSection(*v, "scenario.drive", &errs, &out->drive);
-  }
+  reader.ReadSection("workload", kWorkloadFields, &out->workload, kRequired);
+  reader.ReadSection("consistency", kConsistencyFields, &out->consistency);
+  reader.ReadSection("drive", kDriveFields, &out->drive);
   if (const JsonValue* v = reader.Claim("timeline")) {
     if (!v->is_array()) {
       errs.Add("scenario.timeline", "expected array");
@@ -724,14 +601,12 @@ bool ParseScenario(const JsonValue& root, Scenario* out,
         TimelineAction action;
         ParseTimelineAction(v->array[i],
                             "scenario.timeline[" + std::to_string(i) + "]",
-                            out->cluster, &errs, &action);
+                            out->cluster.processors, &errs, &action);
         out->timeline.push_back(std::move(action));
       }
     }
   }
-  if (const JsonValue* v = reader.Claim("chaos")) {
-    ParseChaosSection(*v, "scenario.chaos", &errs, &out->chaos);
-  }
+  reader.ReadSection("chaos", kChaosFields, &out->chaos);
   if (const JsonValue* v = reader.Claim("provenance")) {
     ParseProvenanceSection(*v, "scenario.provenance", &errs,
                            &out->provenance);
@@ -778,22 +653,19 @@ bool LoadScenarioFile(const std::string& path, Scenario* out,
 
 JsonValue ScenarioToJson(const Scenario& s) {
   JsonValue root = JsonValue::MakeObject();
-  root.Add("name", JsonValue::Of(s.name));
-  if (!s.description.empty()) {
-    root.Add("description", JsonValue::Of(s.description));
-  }
-  root.Add("seed", JsonValue::Of(static_cast<double>(s.seed)));
-  // Emitted only off the default so the existing corpus round-trips
-  // byte-identically.
-  if (s.backend != SubstrateBackend::kSim) {
-    root.Add("backend", JsonValue::Of(std::string("par_sim")));
-    root.Add("shards", JsonValue::Of(static_cast<double>(s.shards)));
+  for (const Field<Scenario>& field : kScenarioFields) {
+    // Omitted at their defaults so the corpus round-trips byte-identically;
+    // shards mean nothing on sim.
+    const std::string key = field.key;
+    if ((key == "description" && s.description.empty()) ||
+        ((key == "backend" || key == "shards") &&
+         s.backend == SubstrateBackend::kSim)) {
+      continue;
+    }
+    WriteField(field, s, &root);
   }
 
-  JsonValue cluster = JsonValue::MakeObject();
-  cluster.Add("processors",
-              JsonValue::Of(static_cast<double>(s.cluster.processors)));
-  cluster.Add("hosts", JsonValue::Of(static_cast<double>(s.cluster.hosts)));
+  JsonValue cluster = WriteFields(kClusterFields, s.cluster);
   if (!s.cluster.processor_speeds.empty()) {
     JsonValue speeds = JsonValue::MakeArray();
     for (double v : s.cluster.processor_speeds) {
@@ -813,81 +685,16 @@ JsonValue ScenarioToJson(const Scenario& s) {
     root.Add("cost", std::move(cost));
   }
 
-  JsonValue workload = JsonValue::MakeObject();
-  workload.Add("kind", JsonValue::Of(std::string(
-                           WorkloadKindName(s.workload.kind))));
-  workload.Add("tuples",
-               JsonValue::Of(static_cast<double>(s.workload.tuples)));
-  workload.Add("rate", JsonValue::Of(s.workload.rate));
-  workload.Add("batch", JsonValue::Of(static_cast<double>(s.workload.batch)));
-  workload.Add("batch_mode", JsonValue::Of(s.workload.batch_mode));
-  workload.Add("stream_seed",
-               JsonValue::Of(static_cast<double>(s.workload.stream_seed)));
-  root.Add("workload", std::move(workload));
-
-  JsonValue consistency = JsonValue::MakeObject();
-  consistency.Add("mode", JsonValue::Of(std::string(ConsistencyModeName(
-                              s.consistency.mode))));
-  consistency.Add("delay_bound", JsonValue::Of(static_cast<double>(
-                                     s.consistency.delay_bound)));
-  root.Add("consistency", std::move(consistency));
-
-  JsonValue drive = JsonValue::MakeObject();
-  drive.Add("warmup_tuples",
-            JsonValue::Of(static_cast<double>(s.drive.warmup_tuples)));
-  drive.Add("warmup_timeout", JsonValue::Of(s.drive.warmup_timeout));
-  drive.Add("pause_ingest", JsonValue::Of(s.drive.pause_ingest));
-  drive.Add("settle_seconds", JsonValue::Of(s.drive.settle_seconds));
-  drive.Add("query_at_start", JsonValue::Of(s.drive.query_at_start));
-  drive.Add("sample_start_seconds",
-            JsonValue::Of(s.drive.sample_start_seconds));
-  drive.Add("bucket_seconds", JsonValue::Of(s.drive.bucket_seconds));
-  drive.Add("sample_count",
-            JsonValue::Of(static_cast<double>(s.drive.sample_count)));
-  drive.Add("wait_for_query", JsonValue::Of(s.drive.wait_for_query));
-  drive.Add("query_timeout", JsonValue::Of(s.drive.query_timeout));
-  root.Add("drive", std::move(drive));
+  root.Add("workload", WriteFields(kWorkloadFields, s.workload));
+  root.Add("consistency", WriteFields(kConsistencyFields, s.consistency));
+  root.Add("drive", WriteFields(kDriveFields, s.drive));
 
   if (!s.timeline.empty()) {
     JsonValue timeline = JsonValue::MakeArray();
     for (const TimelineAction& a : s.timeline) {
-      JsonValue action = JsonValue::MakeObject();
-      action.Add("action", JsonValue::Of(std::string(ActionKindName(a.kind))));
-      action.Add("at", JsonValue::Of(a.at));
-      using Kind = TimelineAction::Kind;
-      switch (a.kind) {
-        case Kind::kKill:
-        case Kind::kRecover:
-        case Kind::kRestoreSpeed:
-          action.Add("node", JsonValue::Of(a.node.ToString()));
-          break;
-        case Kind::kCrashRestart:
-          action.Add("node", JsonValue::Of(a.node.ToString()));
-          action.Add("downtime", JsonValue::Of(a.downtime));
-          break;
-        case Kind::kDropLink:
-        case Kind::kRestoreLink:
-          action.Add("src", JsonValue::Of(a.src.ToString()));
-          action.Add("dst", JsonValue::Of(a.dst.ToString()));
-          break;
-        case Kind::kPartition:
-        case Kind::kHealPartition: {
-          JsonValue side = JsonValue::MakeArray();
-          for (const NodeRef& ref : a.side) {
-            side.array.push_back(JsonValue::Of(ref.ToString()));
-          }
-          action.Add("side", std::move(side));
-          break;
-        }
-        case Kind::kSlowNode:
-          action.Add("node", JsonValue::Of(a.node.ToString()));
-          action.Add("factor", JsonValue::Of(a.factor));
-          break;
-        case Kind::kSetRate:
-          action.Add("rate", JsonValue::Of(a.rate));
-          break;
-        case Kind::kRestoreRate:
-          break;
+      JsonValue action = WriteFields(kActionFields, a);
+      for (const Field<TimelineAction>* operand : RowOf(a.kind).operands) {
+        if (operand != nullptr) WriteField(*operand, a, &action);
       }
       timeline.array.push_back(std::move(action));
     }
@@ -895,10 +702,7 @@ JsonValue ScenarioToJson(const Scenario& s) {
   }
 
   if (s.chaos.commit_regression_after >= 0.0) {
-    JsonValue chaos = JsonValue::MakeObject();
-    chaos.Add("commit_regression_after",
-              JsonValue::Of(s.chaos.commit_regression_after));
-    root.Add("chaos", std::move(chaos));
+    root.Add("chaos", WriteFields(kChaosFields, s.chaos));
   }
 
   if (!s.provenance.empty()) {

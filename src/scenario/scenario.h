@@ -2,6 +2,7 @@
 #define TORNADO_SCENARIO_SCENARIO_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "common/json.h"
 #include "core/config.h"
 #include "net/payload.h"
+#include "sim/cost_model.h"
 
 namespace tornado {
 namespace scenario {
@@ -147,9 +149,42 @@ struct Scenario {
   std::map<std::string, std::string> provenance;
 };
 
-const char* WorkloadKindName(ScenarioWorkload::Kind kind);
-const char* ActionKindName(TimelineAction::Kind kind);
-const char* ConsistencyModeName(ConsistencyMode mode);
+/// A numeric field's accepted interval; an infinite end is unbounded.
+struct Range {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+};
+inline constexpr Range kPositive{0.0, std::numeric_limits<double>::infinity(),
+                                 /*lo_open=*/true};
+
+/// One CostModel field a scenario's `cost` section may override.
+struct CostField {
+  const char* name;
+  double CostModel::* member;
+  Range range;
+  /// The fuzzer perturbs it, within [0.5x, 2x] of its CostModel default.
+  bool mutable_knob;
+};
+
+/// The `cost` section's schema, in CostModel declaration order. The other
+/// sections' tables are private to scenario.cc; this one is shared with
+/// the fuzzer.
+inline constexpr CostField kCostFields[] = {
+    {"net_latency", &CostModel::net_latency, kPositive, true},
+    {"net_jitter", &CostModel::net_jitter, {0.0, 1.0, false, true}, false},
+    {"nic_wire_time", &CostModel::nic_wire_time, kPositive, true},
+    {"local_latency", &CostModel::local_latency, kPositive, false},
+    {"per_message_cpu", &CostModel::per_message_cpu, kPositive, true},
+    {"per_update_cpu", &CostModel::per_update_cpu, kPositive, true},
+    {"store_write_cost", &CostModel::store_write_cost, kPositive, false},
+    {"flush_base_cost", &CostModel::flush_base_cost, kPositive, true},
+    {"flush_per_version", &CostModel::flush_per_version, kPositive, false},
+    {"ack_timeout", &CostModel::ack_timeout, kPositive, true},
+    {"ack_timeout_max", &CostModel::ack_timeout_max, kPositive, false},
+    {"progress_period", &CostModel::progress_period, kPositive, false},
+};
 
 /// Parses and validates a scenario document. Returns true on success;
 /// otherwise `*errors` lists every problem found, each prefixed with its

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "algos/pagerank.h"
+#include "algos/workloads.h"
 #include "core/cluster.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
@@ -136,20 +136,14 @@ class DigestObserver final : public EngineObserver, public TransportObserver {
   std::vector<Fnv1a> deliveries_;  // indexed by destination node
 };
 
-// A Fig. 5 PageRank job (bench_fig5_pagerank's configuration: delay bound
-// 64, 8 processors on 4 hosts, 2 ms progress period) on a short stream:
-// ingest, settle, then one branch query.
+// A Fig. 5 PageRank job (the PageRank panel of bench_fig5: the catalogue's
+// graph shape and program, delay bound 64, 8 processors on 4 hosts, 2 ms
+// progress period) on a short stream: ingest, settle, then one branch query.
 TEST(TraceDigestTest, Fig5PageRankDigestIsPinned) {
-  GraphStreamOptions stream;
-  stream.num_vertices = 500;
-  stream.num_tuples = 2000;
-  stream.preferential = 0.6;
-  stream.deletion_ratio = 0.04;
-  stream.source_hub_weight = 40;
-  stream.seed = 42;
+  const GraphStreamOptions stream = workloads::Graph(2000, 42);
 
   JobConfig config;
-  config.program = std::make_shared<PageRankProgram>(0.85, 1e-3);
+  workloads::UsePageRank(&config);
   config.delay_bound = 64;
   config.num_processors = 8;
   config.num_hosts = 4;
